@@ -17,8 +17,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <fstream>
 #include <initializer_list>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/file_io.h"
@@ -108,6 +110,47 @@ unixTime()
 }
 
 /**
+ * The host a bench_perf record was measured on. tools/perf_diff.py only
+ * compares records whose fingerprints match, so numbers from different
+ * machines are never diffed against each other.
+ */
+struct HostFingerprint
+{
+    unsigned nproc = 0;
+    /** /proc/cpuinfo "model name", JSON-safe; "unknown" if unreadable. */
+    std::string cpuModel = "unknown";
+};
+
+inline HostFingerprint
+hostFingerprint()
+{
+    HostFingerprint host;
+    host.nproc = std::thread::hardware_concurrency();
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(cpuinfo, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const std::size_t colon = line.find(':');
+        if (colon == std::string::npos)
+            break;
+        std::string model;
+        for (const char c : line.substr(colon + 1)) {
+            // Printable ASCII minus the JSON string metacharacters.
+            if (c >= ' ' && c <= '~' && c != '"' && c != '\\')
+                model += c;
+        }
+        const std::size_t first = model.find_first_not_of(' ');
+        if (first != std::string::npos)
+            host.cpuModel = model.substr(first,
+                                         model.find_last_not_of(' ') -
+                                             first + 1);
+        break;
+    }
+    return host;
+}
+
+/**
  * Under `--smoke`, trim a sweep's value list to its first element (the
  * first value is always each sweep's baseline point, so relative columns
  * like "vs-calm" stay well-defined).
@@ -159,8 +202,9 @@ sweep(std::initializer_list<T> full)
  *
  * On destruction appends one JSON line to results/bench_perf.jsonl with
  * the events executed, wall-clock, events/sec and peak RSS of the run,
- * so the repo's simulation-performance trajectory is measurable
- * PR-over-PR.
+ * stamped with the host fingerprint (nproc, CPU model), so the repo's
+ * simulation-performance trajectory is measurable PR-over-PR on one
+ * machine.
  */
 class Harness
 {
@@ -222,20 +266,23 @@ class Harness
         }
         domain_events += "]";
 
-        char line[768];
+        const HostFingerprint host = hostFingerprint();
+        char line[1024];
         std::snprintf(
             line, sizeof(line),
             "{\"bench\":\"%s\",\"jobs\":%u,\"smoke\":%s,"
             "\"shards\":%u,\"domains\":%u,"
             "\"events\":%llu,\"wall_s\":%.3f,\"events_per_sec\":%.0f,"
             "\"cross_events\":%llu,\"domain_events\":%s,"
-            "\"peak_rss_mb\":%.1f,\"unix_time\":%lld}",
+            "\"peak_rss_mb\":%.1f,\"unix_time\":%lld,"
+            "\"nproc\":%u,\"cpu_model\":\"%s\"}",
             name_.c_str(), jobs_, smoke() ? "true" : "false",
             shardsFlag() == 0 ? 1 : shardsFlag(), maxDomains_,
             static_cast<unsigned long long>(events), wall,
             wall > 0.0 ? static_cast<double>(events) / wall : 0.0,
             static_cast<unsigned long long>(crossEvents_),
-            domain_events.c_str(), rss_mb, unixTime());
+            domain_events.c_str(), rss_mb, unixTime(), host.nproc,
+            host.cpuModel.c_str());
 
         // One write() on an O_APPEND fd: several bench binaries running
         // under ctest -j append here concurrently, and buffered ofstream

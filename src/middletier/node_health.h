@@ -14,6 +14,7 @@
 #define SMARTDS_MIDDLETIER_NODE_HEALTH_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -49,6 +50,7 @@ class NodeHealthView
         if (++strikes_[node] < threshold_ || suspected_.count(node))
             return false;
         suspected_.insert(node);
+        ++version_;
         return true;
     }
 
@@ -57,7 +59,8 @@ class NodeHealthView
     noteAck(net::NodeId node)
     {
         strikes_.erase(node);
-        suspected_.erase(node);
+        if (suspected_.erase(node))
+            ++version_;
     }
 
     bool suspected(net::NodeId node) const { return suspected_.count(node); }
@@ -91,9 +94,11 @@ class NodeHealthView
      * ids are dense small integers from the cluster topology; nodes
      * never registered report domain 0.
      */
-    void setDomain(net::NodeId node, unsigned domain)
+    void
+    setDomain(net::NodeId node, unsigned domain)
     {
         domains_[node] = domain;
+        ++version_;
     }
 
     /** Failure domain of @p node (0 when topology is unknown). */
@@ -107,8 +112,16 @@ class NodeHealthView
     /** Whether any node has a registered (nonzero-information) domain. */
     bool hasDomains() const { return !domains_.empty(); }
 
+    /**
+     * Bumped whenever the suspected set or the topology changes, i.e.
+     * whenever filterHealthy() or domainOf() may answer differently.
+     * Placement caches key on it.
+     */
+    std::uint64_t version() const { return version_; }
+
   private:
     unsigned threshold_;
+    std::uint64_t version_ = 0;
     std::unordered_map<net::NodeId, unsigned> strikes_;
     std::unordered_set<net::NodeId> suspected_;
     std::unordered_map<net::NodeId, unsigned> domains_; // lookup only

@@ -68,13 +68,14 @@ MiddleTierServer::chooseReplicas(const std::vector<net::NodeId> &candidates,
     return chosen;
 }
 
-std::vector<net::NodeId>
-MiddleTierServer::chooseDomainSpreadReplicas(
-    const std::vector<net::NodeId> &candidates, unsigned count,
-    Rng &rng) const
+MiddleTierServer::SpreadGroups &
+MiddleTierServer::spreadGroups(const std::vector<net::NodeId> &candidates,
+                               unsigned count) const
 {
-    if (!health_.hasDomains())
-        return chooseHealthyReplicas(candidates, count, rng);
+    SpreadGroups &s = spread_;
+    if (s.valid && s.count == count &&
+        s.healthVersion == health_.version() && s.candidates == candidates)
+        return s;
     const std::vector<net::NodeId> healthy =
         health_.filterHealthy(candidates, count);
     SMARTDS_CHECK(healthy.size() >= count,
@@ -83,43 +84,72 @@ MiddleTierServer::chooseDomainSpreadReplicas(
     // Group the healthy pool by domain, domains ordered by first
     // appearance (deterministic for a fixed candidate order).
     std::vector<unsigned> domain_ids;
-    std::vector<std::vector<net::NodeId>> groups;
+    s.groups.clear();
     for (const net::NodeId n : healthy) {
         const unsigned d = health_.domainOf(n);
         const auto it = std::find(domain_ids.begin(), domain_ids.end(), d);
         if (it == domain_ids.end()) {
             domain_ids.push_back(d);
-            groups.push_back({n});
+            s.groups.push_back({n});
         } else {
-            groups[it - domain_ids.begin()].push_back(n);
+            s.groups[it - domain_ids.begin()].push_back(n);
         }
     }
+    s.candidates = candidates;
+    s.count = count;
+    s.healthVersion = health_.version();
+    s.valid = true;
+    return s;
+}
+
+std::vector<net::NodeId>
+MiddleTierServer::chooseDomainSpreadReplicas(
+    const std::vector<net::NodeId> &candidates, unsigned count,
+    Rng &rng) const
+{
+    if (!health_.hasDomains())
+        return chooseHealthyReplicas(candidates, count, rng);
+    SpreadGroups &s = spreadGroups(candidates, count);
+    auto &groups = s.groups;
     // Shuffle the domain order, then deal one random node per domain per
     // round: shards co-locate in a domain only once every domain already
     // holds one (the "never co-locate when topology permits" rule).
-    std::vector<std::size_t> order(groups.size());
+    std::vector<std::size_t> &order = s.order;
+    order.resize(groups.size());
     for (std::size_t i = 0; i < order.size(); ++i)
         order[i] = i;
     for (std::size_t i = 0; i + 1 < order.size(); ++i)
         std::swap(order[i], order[i + rng.below(order.size() - i)]);
+    // A pick swaps the chosen node to the end of its group's untaken
+    // prefix; the swaps are undone afterwards so the cached groups keep
+    // their first-appearance order for the next write.
+    s.taken.assign(groups.size(), 0);
+    s.swaps.clear();
     std::vector<net::NodeId> chosen;
     chosen.reserve(count);
     while (chosen.size() < count) {
         bool any = false;
         for (const std::size_t g : order) {
             auto &pool = groups[g];
-            if (pool.empty())
+            const std::size_t left = pool.size() - s.taken[g];
+            if (left == 0)
                 continue;
-            const std::size_t j = rng.below(pool.size());
-            std::swap(pool[j], pool.back());
-            chosen.push_back(pool.back());
-            pool.pop_back();
+            const std::size_t j = rng.below(left);
+            std::swap(pool[j], pool[left - 1]);
+            chosen.push_back(pool[left - 1]);
+            ++s.taken[g];
+            s.swaps.emplace_back(g, j);
             any = true;
             if (chosen.size() == count)
                 break;
         }
         SMARTDS_CHECK(any, "domain spread ran out of nodes at %zu of %u",
                       chosen.size(), count);
+    }
+    for (auto it = s.swaps.rbegin(); it != s.swaps.rend(); ++it) {
+        auto &pool = groups[it->first];
+        const std::size_t left = pool.size() - --s.taken[it->first];
+        std::swap(pool[it->second], pool[left - 1]);
     }
     return chosen;
 }

@@ -591,8 +591,32 @@ class MiddleTierServer
         sim::EventHandle timer;
     };
 
+    /**
+     * chooseDomainSpreadReplicas()'s healthy candidates grouped by failure
+     * domain, domains in order of first appearance. Rebuilt only when the
+     * candidate list, the pick count or the health view's version
+     * changes, so a write costs O(picks), not a pass over every node.
+     */
+    struct SpreadGroups
+    {
+        std::vector<net::NodeId> candidates;
+        unsigned count = 0;
+        std::uint64_t healthVersion = 0;
+        bool valid = false;
+        std::vector<std::vector<net::NodeId>> groups;
+        // Per-call scratch, kept for its capacity.
+        std::vector<std::size_t> order;
+        std::vector<std::size_t> taken;
+        std::vector<std::pair<std::size_t, std::size_t>> swaps;
+    };
+
+    /** The spread groups for (@p candidates, @p count), rebuilt if stale. */
+    SpreadGroups &spreadGroups(const std::vector<net::NodeId> &candidates,
+                               unsigned count) const;
+
     std::uint64_t requestsCompleted_ = 0;
     Bytes payloadBytesServed_ = 0;
+    mutable SpreadGroups spread_;
     std::unordered_map<AckKey, AckEntry, AckKeyHash> pendingAcks_;
     std::unordered_map<std::uint64_t, FetchEntry> pendingFetches_;
     std::unordered_map<std::uint64_t, net::Message> fetchReplies_;

@@ -24,12 +24,19 @@ Port::send(Message msg, std::function<void()> on_sent)
     txMeter_.add(msg.wireBytes());
     if (fabric_.tracer() && msg.trace)
         msg.trace.mark = sim_.now(); // NetWire span start (hop entry)
-    tx_.transfer(wire, [this, msg = std::move(msg),
-                        on_sent = std::move(on_sent)]() mutable {
-        if (on_sent)
-            on_sent();
-        fabric_.route(std::move(msg));
-    });
+    txQueue_.push(
+        Outbound{fabric_.parked(domain_).park(std::move(msg)),
+                 std::move(on_sent)});
+    tx_.transfer(wire, [this]() { sent(); });
+}
+
+void
+Port::sent()
+{
+    Outbound out = txQueue_.pop();
+    if (out.onSent)
+        out.onSent();
+    fabric_.route(domain_, out.ticket);
 }
 
 void
@@ -43,29 +50,43 @@ Port::onReceive(Handler handler)
 void
 Port::arrive(Message msg)
 {
+    arriveParked(fabric_.parked(domain_).park(std::move(msg)));
+}
+
+void
+Port::arriveParked(std::uint32_t ticket)
+{
+    const Message &msg = fabric_.parked(domain_)[ticket];
     const Bytes wire = framing_.wireBytes(msg.wireBytes());
     rxMeter_.add(msg.wireBytes());
-    rx_.transfer(wire, [this, msg = std::move(msg)]() mutable {
-        SMARTDS_CHECK(handler_, "port '%s' received with no handler",
-                       name_.c_str());
-        trace::Tracer *tracer = fabric_.tracer();
-        if (tracer && msg.trace && msg.trace.mark != 0) {
-            tracer->record(msg.trace, trace::Stage::NetWire, msg.trace.mark,
-                           sim_.now());
-            msg.trace.mark = 0;
-        }
-        handler_(std::move(msg));
-    });
+    rxQueue_.push(ticket);
+    rx_.transfer(wire, [this]() { received(); });
+}
+
+void
+Port::received()
+{
+    SMARTDS_CHECK(handler_, "port '%s' received with no handler",
+                   name_.c_str());
+    Message msg = fabric_.parked(domain_).take(rxQueue_.pop());
+    trace::Tracer *tracer = fabric_.tracer();
+    if (tracer && msg.trace && msg.trace.mark != 0) {
+        tracer->record(msg.trace, trace::Stage::NetWire, msg.trace.mark,
+                       sim_.now());
+        msg.trace.mark = 0;
+    }
+    handler_(std::move(msg));
 }
 
 Fabric::Fabric(sim::Simulator &sim, Tick one_way_delay)
-    : sims_{&sim}, delay_(one_way_delay), tracers_(1, nullptr),
-      metrics_(1, nullptr)
+    : sims_{&sim}, inFlight_(1), parked_(1), delay_(one_way_delay),
+      tracers_(1, nullptr), metrics_(1, nullptr)
 {
 }
 
 Fabric::Fabric(sim::ClusterSim &cluster, Tick one_way_delay)
-    : cluster_(&cluster), delay_(one_way_delay),
+    : cluster_(&cluster), inFlight_(cluster.domains()),
+      parked_(cluster.domains()), delay_(one_way_delay),
       tracers_(cluster.domains(), nullptr),
       metrics_(cluster.domains(), nullptr)
 {
@@ -106,34 +127,42 @@ Fabric::port(NodeId id) const
 }
 
 void
-Fabric::route(Message msg)
+Fabric::route(unsigned domain, std::uint32_t ticket)
 {
-    const auto it = ports_.find(msg.dst);
+    SMARTDS_SIM_INVARIANT(domain == sim::currentDomain(),
+                          "a domain-%u port sent from domain %u", domain,
+                          sim::currentDomain());
+    sim::SlotTable<Message> &parked = parked_[domain];
+    const NodeId dst_id = parked[ticket].dst;
+    const auto it = ports_.find(dst_id);
     if (it == ports_.end())
-        fatal("message to unknown node id %u", msg.dst);
+        fatal("message to unknown node id %u", dst_id);
     Port *dst = it->second.get();
-    const unsigned srcDomain = sim::currentDomain();
     const unsigned dstDomain = dst->domainIndex();
-    if (cluster_ && dstDomain != srcDomain) {
+    if (cluster_ && dstDomain != domain) {
         // Cross-domain hop: hand the delivery to the cluster's channel.
         // delay_ >= lookahead (checked at construction), so the arrival
         // tick is always beyond the current round's horizon.
-        sim::Simulator &src = *sims_[srcDomain];
         cluster_->post(
-            srcDomain, dstDomain, src.now() + delay_,
-            [dst, msg = std::move(msg)]() mutable {
+            domain, dstDomain, sims_[domain]->now() + delay_,
+            [dst, msg = parked.take(ticket)]() mutable {
                 dst->arrive(std::move(msg));
             },
             sim::EventTag::Net);
         return;
     }
-    // Same-domain (or standalone) hop: the legacy path, unchanged.
-    sims_[srcDomain]->schedule(
-        delay_,
-        [dst, msg = std::move(msg)]() mutable {
-            dst->arrive(std::move(msg));
-        },
-        sim::EventTag::Net);
+    // Same-domain (or standalone) hop: a constant-delay line; the message
+    // stays parked until the destination port delivers it.
+    inFlight_[domain].push(InFlight{dst, ticket});
+    sims_[domain]->schedule(
+        delay_, [this, domain]() { land(domain); }, sim::EventTag::Net);
+}
+
+void
+Fabric::land(unsigned domain)
+{
+    const InFlight hop = inFlight_[domain].pop();
+    hop.dst->arriveParked(hop.ticket);
 }
 
 } // namespace smartds::net

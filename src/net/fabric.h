@@ -16,6 +16,7 @@
 #ifndef SMARTDS_NET_FABRIC_H_
 #define SMARTDS_NET_FABRIC_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -28,6 +29,7 @@
 #include "common/units.h"
 #include "net/message.h"
 #include "sim/bandwidth_server.h"
+#include "sim/parking.h"
 #include "sim/pdes.h"
 #include "sim/simulator.h"
 #include "trace/trace.h"
@@ -93,8 +95,27 @@ class Port
   private:
     friend class Fabric;
 
-    /** Called by the fabric when a message arrives from the switch. */
+    /** A message serialising onto the wire, with its send completion. */
+    struct Outbound
+    {
+        std::uint32_t ticket = 0; ///< in the fabric's parked messages
+        std::function<void()> onSent;
+    };
+
+    /** Called by the fabric when a message arrives from another domain. */
     void arrive(Message msg);
+
+    /**
+     * Called by the fabric when a message parked in this port's domain
+     * (see Fabric::parked) arrives from the switch.
+     */
+    void arriveParked(std::uint32_t ticket);
+
+    /** tx_ completion: the oldest outbound message has left the port. */
+    void sent();
+
+    /** rx_ completion: the oldest inbound message reaches the handler. */
+    void received();
 
     sim::Simulator &sim_;
     Fabric &fabric_;
@@ -105,6 +126,13 @@ class Port
     Framing framing_;
     sim::BandwidthServer tx_;
     sim::BandwidthServer rx_;
+    /**
+     * Messages inside tx_/rx_, oldest first, as tickets into the fabric's
+     * parked messages. A BandwidthServer completes in submission order,
+     * so each completion pops the front.
+     */
+    sim::Ring<Outbound> txQueue_;
+    sim::Ring<std::uint32_t> rxQueue_;
     RateMeter txMeter_;
     RateMeter rxMeter_;
     Handler handler_;
@@ -180,6 +208,14 @@ class Fabric
         metrics_[d] = m;
     }
 
+    /**
+     * Messages parked while inside a port or a storage disk, one table per
+     * timing domain (touched only by that domain's shard). Components keep
+     * just the ticket, so memory follows a domain's messages in flight,
+     * not the sum of every port's peak backlog.
+     */
+    sim::SlotTable<Message> &parked(unsigned domain) { return parked_[domain]; }
+
     /** The current domain's tracer (null disables tracing). */
     trace::Tracer *tracer() const { return tracers_[sim::currentDomain()]; }
 
@@ -193,11 +229,32 @@ class Fabric
   private:
     friend class Port;
 
-    /** Route @p msg from a sender's egress to the destination port. */
-    void route(Message msg);
+    /** A parked message on a same-domain link, bound for @ref dst. */
+    struct InFlight
+    {
+        Port *dst = nullptr;
+        std::uint32_t ticket = 0;
+    };
+
+    /**
+     * Route the message parked at @p ticket in @p domain from a sender's
+     * egress to the destination port.
+     */
+    void route(unsigned domain, std::uint32_t ticket);
+
+    /** Delay-line completion: the oldest in-flight message of @p domain. */
+    void land(unsigned domain);
 
     std::vector<sim::Simulator *> sims_; ///< one per domain
     sim::ClusterSim *cluster_ = nullptr; ///< null when standalone
+    /**
+     * Same-domain messages on the wire (still parked), one FIFO per
+     * domain, touched only by that domain's shard. The link delay is
+     * constant, so arrivals come in send order and each pops its
+     * domain's front.
+     */
+    std::vector<sim::Ring<InFlight>> inFlight_;
+    std::vector<sim::SlotTable<Message>> parked_; ///< one per domain
     Tick delay_;
     NodeId nextId_ = 1;
     std::unordered_map<NodeId, std::unique_ptr<Port>> ports_;

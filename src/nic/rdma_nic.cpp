@@ -25,20 +25,24 @@ RdmaNic::RdmaNic(net::Fabric &fabric, const std::string &name,
     port_->onReceive([this](net::Message msg) {
         // Land the whole message in host memory before software sees it.
         const Bytes bytes = msg.wireBytes();
-        const Tick dma_start = fabric_.simulator().now();
+        const std::uint32_t ticket = inDma_.park(
+            InDma{std::move(msg), nullptr, fabric_.simulator().now()});
         dma_.write(bytes, rxOptions_,
-                   [this, dma_start, msg = std::move(msg)](Tick) mutable {
-                       SMARTDS_CHECK(handler_,
-                                      "NIC delivered with no host handler");
-                       trace::Tracer *tracer = fabric_.tracer();
-                       if (tracer && msg.trace) {
-                           tracer->record(msg.trace, trace::Stage::NicDma,
-                                          dma_start,
-                                          fabric_.simulator().now());
-                       }
-                       handler_(std::move(msg));
-                   });
+                   [this, ticket](Tick) { landed(ticket); });
     });
+}
+
+void
+RdmaNic::landed(std::uint32_t ticket)
+{
+    InDma in = inDma_.take(ticket);
+    SMARTDS_CHECK(handler_, "NIC delivered with no host handler");
+    trace::Tracer *tracer = fabric_.tracer();
+    if (tracer && in.msg.trace) {
+        tracer->record(in.msg.trace, trace::Stage::NicDma, in.dmaStart,
+                       fabric_.simulator().now());
+    }
+    handler_(std::move(in.msg));
 }
 
 void
@@ -52,17 +56,22 @@ void
 RdmaNic::sendFromHost(net::Message msg, std::function<void()> on_sent)
 {
     const Bytes bytes = msg.wireBytes();
-    const Tick dma_start = fabric_.simulator().now();
+    const std::uint32_t ticket = inDma_.park(InDma{
+        std::move(msg), std::move(on_sent), fabric_.simulator().now()});
     dma_.read(bytes, txOptions_,
-              [this, dma_start, msg = std::move(msg),
-               on_sent = std::move(on_sent)](Tick) mutable {
-                  trace::Tracer *tracer = fabric_.tracer();
-                  if (tracer && msg.trace) {
-                      tracer->record(msg.trace, trace::Stage::NicDma,
-                                     dma_start, fabric_.simulator().now());
-                  }
-                  port_->send(std::move(msg), std::move(on_sent));
-              });
+              [this, ticket](Tick) { fetched(ticket); });
+}
+
+void
+RdmaNic::fetched(std::uint32_t ticket)
+{
+    InDma out = inDma_.take(ticket);
+    trace::Tracer *tracer = fabric_.tracer();
+    if (tracer && out.msg.trace) {
+        tracer->record(out.msg.trace, trace::Stage::NicDma, out.dmaStart,
+                       fabric_.simulator().now());
+    }
+    port_->send(std::move(out.msg), std::move(out.onSent));
 }
 
 } // namespace smartds::nic

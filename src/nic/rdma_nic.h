@@ -12,12 +12,14 @@
 #ifndef SMARTDS_NIC_RDMA_NIC_H_
 #define SMARTDS_NIC_RDMA_NIC_H_
 
+#include <cstdint>
 #include <functional>
 #include <string>
 
 #include "mem/memory_system.h"
 #include "net/fabric.h"
 #include "pcie/pcie.h"
+#include "sim/parking.h"
 
 namespace smartds::nic {
 
@@ -73,6 +75,20 @@ class RdmaNic
     pcie::DmaEngine &dma() { return dma_; }
 
   private:
+    /** A message crossing PCIe (either direction), with its bookkeeping. */
+    struct InDma
+    {
+        net::Message msg;
+        std::function<void()> onSent; ///< tx only
+        Tick dmaStart = 0;
+    };
+
+    /** Host-memory landing of the received message parked at @p ticket. */
+    void landed(std::uint32_t ticket);
+
+    /** DMA read of the outbound message parked at @p ticket is done. */
+    void fetched(std::uint32_t ticket);
+
     net::Fabric &fabric_;
     net::Port *port_;
     pcie::PcieLink pcie_;
@@ -80,6 +96,11 @@ class RdmaNic
     pcie::DmaEngine::Options rxOptions_;
     pcie::DmaEngine::Options txOptions_;
     std::function<void(net::Message)> handler_;
+    /**
+     * Messages inside dma_. DMA completions may reorder (memory stalls
+     * vary, sizes differ), so they are parked by ticket, not in a FIFO.
+     */
+    sim::SlotTable<InDma> inDma_;
 };
 
 } // namespace smartds::nic

@@ -103,18 +103,14 @@ void
 DmaEngine::submit(Bytes bytes, bool is_read, Options options,
                   std::function<void(Tick)> done)
 {
-    auto job = std::make_shared<Job>();
-    job->remainingToIssue = bytes;
-    job->chunksOutstanding = 0;
-    job->start = sim_.now();
-    job->isRead = is_read;
-    job->options = options;
-    job->done = std::move(done);
     if (bytes == 0) {
-        sim_.schedule(0, [job]() { job->done(0); }, sim::EventTag::Device);
+        sim_.schedule(0, [done = std::move(done)]() { done(0); },
+                      sim::EventTag::Device);
         return;
     }
-    (is_read ? readQueue_ : writeQueue_).push_back(job);
+    const std::uint32_t job = jobs_.park(
+        Job{bytes, 0, sim_.now(), is_read, options, std::move(done)});
+    (is_read ? readQueue_ : writeQueue_).push(job);
     pump();
 }
 
@@ -123,109 +119,80 @@ DmaEngine::pump()
 {
     while (inflightReadBytes_ < config_.readWindowBytes &&
            !readQueue_.empty()) {
-        auto job = readQueue_.front();
-        const Bytes chunk =
-            std::min<Bytes>(config_.chunkBytes, job->remainingToIssue);
-        job->remainingToIssue -= chunk;
-        ++job->chunksOutstanding;
-        if (job->remainingToIssue == 0)
-            readQueue_.pop_front();
+        const std::uint32_t job = readQueue_.front();
+        Job &j = jobs_[job];
+        const Bytes chunk = std::min<Bytes>(config_.chunkBytes,
+                                            j.remainingToIssue);
+        j.remainingToIssue -= chunk;
+        ++j.chunksOutstanding;
+        if (j.remainingToIssue == 0)
+            readQueue_.pop();
         inflightReadBytes_ += chunk;
         startChunk(job, chunk);
     }
     while (inflightWriteBytes_ < config_.writeWindowBytes &&
            !writeQueue_.empty()) {
-        auto job = writeQueue_.front();
-        const Bytes chunk =
-            std::min<Bytes>(config_.chunkBytes, job->remainingToIssue);
-        job->remainingToIssue -= chunk;
-        ++job->chunksOutstanding;
-        if (job->remainingToIssue == 0)
-            writeQueue_.pop_front();
+        const std::uint32_t job = writeQueue_.front();
+        Job &j = jobs_[job];
+        const Bytes chunk = std::min<Bytes>(config_.chunkBytes,
+                                            j.remainingToIssue);
+        j.remainingToIssue -= chunk;
+        ++j.chunksOutstanding;
+        if (j.remainingToIssue == 0)
+            writeQueue_.pop();
         inflightWriteBytes_ += chunk;
         startChunk(job, chunk);
     }
 }
 
 void
-DmaEngine::chainLinks(const std::vector<sim::BandwidthServer *> &path,
-                      std::size_t index, Bytes chunk,
-                      std::function<void()> done)
+DmaEngine::startChunk(std::uint32_t job, Bytes chunk)
 {
-    if (index >= path.size()) {
-        done();
+    const Job &j = jobs_[job];
+    // A DMA write crosses the links first (see finishWrite). A DMA read
+    // first fetches the data from host memory (or LLC on a DDIO hit),
+    // stalling on loaded latency, then crosses the links.
+    if (!j.isRead || !j.options.memFlow) {
+        linkHop(job, chunk, 0);
         return;
     }
-    // The path vectors are members and outlive every chunk; capture by
-    // pointer so the continuation does not hold a dangling reference to
-    // this function's parameter.
-    const auto *path_ptr = &path;
-    path[index]->transfer(chunk, [this, path_ptr, index, chunk,
-                                  done = std::move(done)]() mutable {
-        chainLinks(*path_ptr, index + 1, chunk, std::move(done));
-    });
+    const Tick stall =
+        j.options.stallOnMemory && memory_ ? memory_->loadedLatency() : 0;
+    sim_.schedule(
+        stall,
+        [this, flow = j.options.memFlow, job, chunk]() {
+            flow->transfer(chunk,
+                           [this, job, chunk]() { linkHop(job, chunk, 0); });
+        },
+        sim::EventTag::Device);
 }
 
 void
-DmaEngine::startChunk(const std::shared_ptr<Job> &job, Bytes chunk)
+DmaEngine::linkHop(std::uint32_t job, Bytes chunk, std::size_t hop)
 {
-    if (job->isRead) {
-        // A DMA read first fetches the data from host memory (or LLC on a
-        // DDIO hit), stalling on loaded latency, then crosses the links.
-        auto after_memory = [this, job, chunk]() {
-            chainLinks(h2dPath_, 0, chunk, [this, job, chunk]() {
-                finishChunk(job, chunk);
-            });
-        };
-        if (job->options.memFlow) {
-            const Tick stall =
-                job->options.stallOnMemory && memory_
-                    ? memory_->loadedLatency()
-                    : 0;
-            auto *flow = job->options.memFlow;
-            sim_.schedule(
-                stall,
-                [flow, chunk, after_memory = std::move(after_memory)]() {
-                    flow->transfer(chunk, std::move(after_memory));
-                },
-                sim::EventTag::Device);
-        } else {
-            after_memory();
-        }
-    } else {
-        // A DMA write crosses the links and completes for the caller on
-        // arrival (posted). The engine's buffer slot, however, is held
-        // until the write has drained into DRAM — write credits return
-        // only when memory accepts the data, which is how memory-side
-        // pressure throttles posted DMA streams (Figures 4 and 9).
-        chainLinks(d2hPath_, 0, chunk, [this, job, chunk]() {
-            completeJobChunk(job);
-            if (job->options.memFlow) {
-                const Tick stall = memory_ ? memory_->loadedLatency() : 0;
-                auto *flow = job->options.memFlow;
-                sim_.schedule(
-                    stall,
-                    [this, flow, chunk]() {
-                        flow->transfer(chunk, [this, chunk]() {
-                            releaseSlot(false, chunk);
-                        });
-                    },
-                    sim::EventTag::Device);
-            } else {
-                releaseSlot(false, chunk);
-            }
+    const bool is_read = jobs_[job].isRead;
+    const auto &path = is_read ? h2dPath_ : d2hPath_;
+    if (hop < path.size()) {
+        path[hop]->transfer(chunk, [this, job, chunk, hop]() {
+            linkHop(job, chunk, hop + 1);
         });
+    } else if (is_read) {
+        finishRead(job, chunk);
+    } else {
+        finishWrite(job, chunk);
     }
 }
 
 void
-DmaEngine::completeJobChunk(const std::shared_ptr<Job> &job)
+DmaEngine::completeJobChunk(std::uint32_t job)
 {
-    SMARTDS_CHECK(job->chunksOutstanding > 0, "chunk accounting underflow");
-    --job->chunksOutstanding;
-    if (job->chunksOutstanding == 0 && job->remainingToIssue == 0) {
-        const Tick latency = sim_.now() - job->start;
-        job->done(latency);
+    Job &j = jobs_[job];
+    SMARTDS_CHECK(j.chunksOutstanding > 0, "chunk accounting underflow");
+    --j.chunksOutstanding;
+    if (j.chunksOutstanding == 0 && j.remainingToIssue == 0) {
+        const Tick latency = sim_.now() - j.start;
+        // Recycle the job before the callback runs: it may submit more.
+        jobs_.take(job).done(latency);
     }
 }
 
@@ -244,10 +211,34 @@ DmaEngine::releaseSlot(bool is_read, Bytes chunk)
 }
 
 void
-DmaEngine::finishChunk(const std::shared_ptr<Job> &job, Bytes chunk)
+DmaEngine::finishRead(std::uint32_t job, Bytes chunk)
 {
     completeJobChunk(job);
-    releaseSlot(job->isRead, chunk);
+    releaseSlot(true, chunk);
+}
+
+void
+DmaEngine::finishWrite(std::uint32_t job, Bytes chunk)
+{
+    // A DMA write completes for the caller on arrival (posted). The
+    // engine's buffer slot, however, is held until the write has drained
+    // into DRAM — write credits return only when memory accepts the data,
+    // which is how memory-side pressure throttles posted DMA streams
+    // (Figures 4 and 9).
+    sim::FairShareResource::Flow *flow = jobs_[job].options.memFlow;
+    completeJobChunk(job);
+    if (!flow) {
+        releaseSlot(false, chunk);
+        return;
+    }
+    const Tick stall = memory_ ? memory_->loadedLatency() : 0;
+    sim_.schedule(
+        stall,
+        [this, flow, chunk]() {
+            flow->transfer(chunk,
+                           [this, chunk]() { releaseSlot(false, chunk); });
+        },
+        sim::EventTag::Device);
 }
 
 } // namespace smartds::pcie

@@ -17,7 +17,7 @@
 #ifndef SMARTDS_PCIE_PCIE_H_
 #define SMARTDS_PCIE_PCIE_H_
 
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -28,6 +28,7 @@
 #include "common/units.h"
 #include "mem/memory_system.h"
 #include "sim/bandwidth_server.h"
+#include "sim/parking.h"
 #include "sim/simulator.h"
 
 namespace smartds::pcie {
@@ -155,12 +156,17 @@ class DmaEngine
     const Config &config() const { return config_; }
 
   private:
+    /**
+     * One transfer in flight. Jobs are parked in a slot table and chunk
+     * continuations name them by index, so a chunk's closure is
+     * (engine, job, chunk, hop) and fits EventCallback's inline buffer.
+     */
     struct Job
     {
-        Bytes remainingToIssue;
-        unsigned chunksOutstanding;
-        Tick start;
-        bool isRead;
+        Bytes remainingToIssue = 0;
+        unsigned chunksOutstanding = 0;
+        Tick start = 0;
+        bool isRead = false;
         Options options;
         std::function<void(Tick)> done;
     };
@@ -168,13 +174,13 @@ class DmaEngine
     void submit(Bytes bytes, bool is_read, Options options,
                 std::function<void(Tick)> done);
     void pump();
-    void startChunk(const std::shared_ptr<Job> &job, Bytes chunk);
-    void chainLinks(const std::vector<sim::BandwidthServer *> &path,
-                    std::size_t index, Bytes chunk,
-                    std::function<void()> done);
-    void completeJobChunk(const std::shared_ptr<Job> &job);
+    void startChunk(std::uint32_t job, Bytes chunk);
+    /** Cross link @p hop of the job's path, then the next one. */
+    void linkHop(std::uint32_t job, Bytes chunk, std::size_t hop);
+    void completeJobChunk(std::uint32_t job);
     void releaseSlot(bool is_read, Bytes chunk);
-    void finishChunk(const std::shared_ptr<Job> &job, Bytes chunk);
+    void finishRead(std::uint32_t job, Bytes chunk);
+    void finishWrite(std::uint32_t job, Bytes chunk);
 
     sim::Simulator &sim_;
     std::string name_;
@@ -184,8 +190,10 @@ class DmaEngine
     Config config_;
     Bytes inflightReadBytes_ = 0;
     Bytes inflightWriteBytes_ = 0;
-    std::deque<std::shared_ptr<Job>> readQueue_;
-    std::deque<std::shared_ptr<Job>> writeQueue_;
+    sim::SlotTable<Job> jobs_;
+    /** Jobs with chunks left to issue, per direction (job indices). */
+    sim::Ring<std::uint32_t> readQueue_;
+    sim::Ring<std::uint32_t> writeQueue_;
 };
 
 } // namespace smartds::pcie

@@ -17,37 +17,17 @@ BandwidthServer::BandwidthServer(Simulator &sim, std::string name,
                    name_.c_str());
 }
 
-Tick
-BandwidthServer::admit(Bytes bytes, Tick *queue_wait)
+void
+BandwidthServer::transfer(Bytes bytes, EventCallback done)
 {
-    const Tick now = sim_.now();
-    const Tick start = std::max(now, freeAt_);
+    const Tick start = std::max(sim_.now(), freeAt_);
     const Tick service = transferTicks(bytes, rate_);
-    const Tick finish = start + service;
-    freeAt_ = finish;
+    freeAt_ = start + service;
     busy_ += service;
     totalBytes_ += bytes;
     for (auto *m : meters_)
         m->add(bytes);
-    if (queue_wait)
-        *queue_wait = start - now;
-    return finish + baseLatency_;
-}
-
-void
-BandwidthServer::transfer(Bytes bytes, std::function<void()> done)
-{
-    const Tick when = admit(bytes, nullptr);
-    sim_.scheduleAt(when, std::move(done));
-}
-
-void
-BandwidthServer::transferTimed(Bytes bytes,
-                               std::function<void(Tick)> done)
-{
-    Tick wait = 0;
-    const Tick when = admit(bytes, &wait);
-    sim_.scheduleAt(when, [wait, done = std::move(done)]() { done(wait); });
+    sim_.scheduleAt(freeAt_ + baseLatency_, std::move(done));
 }
 
 Tick

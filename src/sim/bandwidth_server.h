@@ -18,7 +18,6 @@
 #ifndef SMARTDS_SIM_BANDWIDTH_SERVER_H_
 #define SMARTDS_SIM_BANDWIDTH_SERVER_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -45,14 +44,14 @@ class BandwidthServer
     /**
      * Enqueue a transfer of @p bytes; @p done fires when the last byte has
      * been delivered (queueing + serialisation + pipeline latency).
+     *
+     * Completions fire in submission order, whatever setRate() does in
+     * between: each transfer finishes no earlier than the one before it,
+     * the pipeline latency is fixed, and equal finish ticks dispatch in
+     * scheduling order. Callers rely on this to park per-transfer state
+     * in a FIFO instead of capturing it in @p done.
      */
-    void transfer(Bytes bytes, std::function<void()> done);
-
-    /**
-     * Enqueue a transfer and report the queueing delay it experienced to
-     * @p done (used by latency probes).
-     */
-    void transferTimed(Bytes bytes, std::function<void(Tick queue_wait)> done);
+    void transfer(Bytes bytes, EventCallback done);
 
     /** Attach a meter that accrues every byte entering the server. */
     void attachMeter(RateMeter *meter) { meters_.push_back(meter); }
@@ -74,8 +73,6 @@ class BandwidthServer
     void setRate(BytesPerSecond rate) { rate_ = rate; }
 
   private:
-    Tick admit(Bytes bytes, Tick *queue_wait);
-
     Simulator &sim_;
     std::string name_;
     BytesPerSecond rate_;

@@ -20,7 +20,7 @@ constexpr double utilizationTauSeconds = 20e-6;
 } // namespace
 
 void
-FairShareResource::Flow::transfer(Bytes bytes, std::function<void()> done)
+FairShareResource::Flow::transfer(Bytes bytes, EventCallback done)
 {
     SMARTDS_CHECK(demand_ == 0.0,
                    "flow '%s' mixes transfers with background demand",
@@ -29,7 +29,7 @@ FairShareResource::Flow::transfer(Bytes bytes, std::function<void()> done)
         parent_.sim_.schedule(0, std::move(done));
         return;
     }
-    queue_.push_back(Pending{static_cast<double>(bytes), std::move(done)});
+    queue_.push(Pending{static_cast<double>(bytes), std::move(done)});
     parent_.update();
 }
 
@@ -123,20 +123,16 @@ FairShareResource::update()
             head.remaining -= used;
             flow->delivered_ += used;
             moved -= used;
-            if (head.remaining <= completionTolerance) {
-                sim_.schedule(0, std::move(head.done));
-                flow->queue_.pop_front();
-            }
+            if (head.remaining <= completionTolerance)
+                sim_.schedule(0, flow->queue_.pop().done);
         }
     }
     // Events fire at ceil()+1 ticks, so a head that was due may retain a
     // sub-tolerance remainder only through floating error; sweep those too.
     for (auto &flow : flows_) {
         while (!flow->queue_.empty() &&
-               flow->queue_.front().remaining <= completionTolerance) {
-            sim_.schedule(0, std::move(flow->queue_.front().done));
-            flow->queue_.pop_front();
-        }
+               flow->queue_.front().remaining <= completionTolerance)
+            sim_.schedule(0, flow->queue_.pop().done);
     }
 
     lastUpdate_ = now;
@@ -147,13 +143,8 @@ FairShareResource::update()
 void
 FairShareResource::reallocate()
 {
-    struct Cand
-    {
-        Flow *flow;
-        double limit;
-    };
-    std::vector<Cand> cands;
-    cands.reserve(flows_.size());
+    std::vector<Candidate> &cands = cands_;
+    cands.clear();
     double sum_weight = 0.0;
     for (auto &flow : flows_) {
         flow->rate_ = 0.0;
@@ -164,7 +155,7 @@ FairShareResource::reallocate()
             limit = std::min(limit, flow->demand_);
         if (limit <= 0.0)
             continue;
-        cands.push_back(Cand{flow.get(), limit});
+        cands.push_back(Candidate{flow.get(), limit});
         sum_weight += flow->weight_;
     }
 

@@ -18,8 +18,6 @@
 #ifndef SMARTDS_SIM_FAIR_SHARE_H_
 #define SMARTDS_SIM_FAIR_SHARE_H_
 
-#include <deque>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -27,6 +25,7 @@
 
 #include "common/time.h"
 #include "common/units.h"
+#include "sim/parking.h"
 #include "sim/simulator.h"
 
 namespace smartds::sim {
@@ -43,7 +42,7 @@ class FairShareResource
          * Enqueue a transfer of @p bytes on this flow; @p done fires when
          * the flow has moved that many bytes (FIFO within the flow).
          */
-        void transfer(Bytes bytes, std::function<void()> done);
+        void transfer(Bytes bytes, EventCallback done);
 
         /**
          * Set a continuous background demand in bytes/second. The flow
@@ -66,8 +65,8 @@ class FairShareResource
         friend class FairShareResource;
         struct Pending
         {
-            double remaining;
-            std::function<void()> done;
+            double remaining = 0.0;
+            EventCallback done;
         };
 
         Flow(FairShareResource &parent, std::string name, double weight)
@@ -83,7 +82,7 @@ class FairShareResource
         BytesPerSecond cap_ = std::numeric_limits<double>::infinity();
         BytesPerSecond demand_ = 0.0;
         BytesPerSecond rate_ = 0.0;
-        std::deque<Pending> queue_;
+        Ring<Pending> queue_;
         double delivered_ = 0.0;
     };
 
@@ -127,6 +126,13 @@ class FairShareResource
     /** Schedule the next head-of-line completion event. */
     void scheduleNext();
 
+    /** A flow competing in one water-filling pass, with its rate limit. */
+    struct Candidate
+    {
+        Flow *flow;
+        double limit;
+    };
+
     Simulator &sim_;
     std::string name_;
     BytesPerSecond capacity_;
@@ -136,6 +142,8 @@ class FairShareResource
     Tick lastUpdate_ = 0;
     EventHandle next_;
     std::vector<std::unique_ptr<Flow>> flows_;
+    /** reallocate()'s scratch list, kept to reuse its capacity. */
+    std::vector<Candidate> cands_;
 };
 
 } // namespace smartds::sim

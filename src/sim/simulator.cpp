@@ -106,12 +106,7 @@ Tick
 Simulator::runUntil(Tick deadline)
 {
     const DomainScope scope(domain_);
-    while (true) {
-        dropStaleTop();
-        if (heap_.empty() || heap_.front().when() > deadline)
-            break;
-        if (!step())
-            break;
+    while (dispatchUpTo(deadline)) {
     }
     if (now_ < deadline)
         now_ = deadline;

@@ -10,11 +10,20 @@
  * The hot path is allocation-averse: event records live in a slab pool and
  * are recycled through a free list, cancellation is a generation-counter
  * check (no shared control block), the pending queue is an implicit 4-ary
- * heap of 24-byte plain records, and callbacks are stored in a
+ * heap of plain records, and callbacks are stored in a
  * small-buffer-optimized holder so the common capturing lambda never
  * touches the general-purpose heap. Figure sweeps push hundreds of
  * millions of events through this kernel, so every per-event allocation
  * removed here is minutes off a full reproduction run.
+ *
+ * Two refinements keep the heap small and cheap:
+ *  - Events scheduled for now() skip the heap and join a FIFO *same-tick
+ *    lane*. Keys are unique and lane entries arrive in seq order, so
+ *    dispatching whichever of the lane front and the heap top has the
+ *    smaller (tick, seq) key is exactly heap order.
+ *  - Cancelled events leave their heap entry behind (cancellation is O(1)).
+ *    Once such entries outnumber the live ones, the heap drops them all
+ *    and is rebuilt, so long-lived cancelled timers cannot bloat it.
  */
 
 #ifndef SMARTDS_SIM_SIMULATOR_H_
@@ -23,6 +32,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -31,6 +41,7 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/time.h"
+#include "sim/parking.h"
 
 namespace smartds::sim {
 
@@ -91,6 +102,8 @@ class EventCallback
                       std::is_nothrow_move_constructible_v<Fn>) {
             ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
             ops_ = &inlineOps<Fn>;
+            if constexpr (trivialInline<Fn>)
+                clearTail(sizeof(Fn));
         } else {
             // simlint: allow(naked-new): the SBO fallback box; ownership
             // is carried by ops_ (boxedOps destroy deletes it), and a
@@ -98,6 +111,7 @@ class EventCallback
             ::new (static_cast<void *>(buf_))
                 (Fn *)(new Fn(std::forward<F>(f)));
             ops_ = &boxedOps<Fn>;
+            clearTail(sizeof(Fn *));
         }
     }
 
@@ -129,12 +143,20 @@ class EventCallback
     reset()
     {
         if (ops_) {
-            ops_->destroy(buf_);
+            if (ops_->destroy)
+                ops_->destroy(buf_);
             ops_ = nullptr;
         }
     }
 
   private:
+    /**
+     * Type-erased operations. A null relocate means the stored bytes may
+     * simply be copied (a trivially copyable callable, or a box pointer);
+     * a null destroy means there is nothing to destroy. Most callbacks
+     * capture pointers and integers only, so moving one between the
+     * caller, the event slot and the dispatcher is a plain copy.
+     */
     struct Ops
     {
         void (*invoke)(void *);
@@ -144,31 +166,50 @@ class EventCallback
     };
 
     template <typename Fn>
+    static constexpr bool trivialInline =
+        std::is_trivially_copyable_v<Fn> &&
+        std::is_trivially_destructible_v<Fn>;
+
+    template <typename Fn>
     static constexpr Ops inlineOps = {
         [](void *p) { (*std::launder(reinterpret_cast<Fn *>(p)))(); },
-        [](void *dst, void *src) {
+        trivialInline<Fn> ? nullptr : +[](void *dst, void *src) {
             Fn *from = std::launder(reinterpret_cast<Fn *>(src));
             ::new (dst) Fn(std::move(*from));
             from->~Fn();
         },
-        [](void *p) { std::launder(reinterpret_cast<Fn *>(p))->~Fn(); },
+        trivialInline<Fn> ? nullptr : +[](void *p) {
+            std::launder(reinterpret_cast<Fn *>(p))->~Fn();
+        },
     };
 
     template <typename Fn>
     static constexpr Ops boxedOps = {
         [](void *p) { (**std::launder(reinterpret_cast<Fn **>(p)))(); },
-        [](void *dst, void *src) {
-            ::new (dst) (Fn *)(*std::launder(reinterpret_cast<Fn **>(src)));
-        },
+        nullptr,
         [](void *p) { delete *std::launder(reinterpret_cast<Fn **>(p)); },
     };
+
+    /**
+     * Zero the buffer past the first @p used bytes. A callable moved by
+     * plain copy (null relocate) moves the whole buffer, so all of it
+     * must hold defined bytes.
+     */
+    void
+    clearTail(std::size_t used)
+    {
+        std::memset(buf_ + used, 0, inlineCapacity - used);
+    }
 
     void
     moveFrom(EventCallback &other) noexcept
     {
         ops_ = other.ops_;
         if (ops_) {
-            ops_->relocate(buf_, other.buf_);
+            if (ops_->relocate)
+                ops_->relocate(buf_, other.buf_);
+            else
+                std::memcpy(buf_, other.buf_, inlineCapacity);
             other.ops_ = nullptr;
         }
     }
@@ -287,14 +328,15 @@ class Simulator
 
     /**
      * Tick of the earliest live pending event, or kNoPendingEvent when
-     * the queue holds none. Drops cancelled shells from the heap top as
-     * a side effect (they carry no information).
+     * the queue holds none. Drops cancelled entries from the lane front
+     * and the heap top as a side effect (they carry no information).
      */
     Tick
     nextEventTick()
     {
-        dropStaleTop();
-        return heap_.empty() ? kNoPendingEvent : heap_.front().when();
+        bool from_lane;
+        const HeapEntry *next = nextLive(from_lane);
+        return next ? next->when() : kNoPendingEvent;
     }
 
     /**
@@ -340,50 +382,23 @@ class Simulator
         Event &event = pool_[slot];
         event.fn = std::move(fn);
         event.tag = tag;
-        heapPush(HeapEntry{makeKey(when, nextSeq_++), slot, event.gen});
+        const HeapEntry entry{when, nextSeq_++, slot, event.gen};
+        // A same-tick event joins the FIFO lane: its seq is the largest
+        // handed out so far, so the lane stays sorted by key for free.
+        event.inLane = when == now_;
+        if (event.inLane) {
+            SMARTDS_SIM_INVARIANT(
+                lane_.empty() || lane_[lane_.size() - 1].seq < entry.seq,
+                "same-tick lane entry out of seq order");
+            lane_.push(entry);
+        } else {
+            heapPush(entry);
+        }
         return EventHandle(this, slot, event.gen);
     }
 
     /** Execute the next pending event. @return false if queue empty. */
-    bool
-    step()
-    {
-        while (!heap_.empty()) {
-            const HeapEntry top = heap_.front();
-            heapPop();
-            Event &event = pool_[top.slot];
-            if (event.gen != top.gen)
-                continue; // cancelled; slot already recycled
-            // Only live events must dispatch in (tick, seq) order.
-            // Cancelled shells may legally pop "backwards": runUntil()'s
-            // dropStaleTop() can discard a dead entry past its deadline
-            // before time has advanced that far.
-            SMARTDS_SIM_INVARIANT(
-                top.key >= lastPoppedKey_,
-                "event dispatched out of (tick, seq) order at tick %llu",
-                static_cast<unsigned long long>(top.when()));
-#if SMARTDS_CHECKED_BUILD
-            lastPoppedKey_ = top.key;
-#endif
-            now_ = top.when();
-            // Fold (tick, seq, stage tag) into the determinism hash
-            // before the slot is recycled (recycling does not clear the
-            // tag, but the callback below may overwrite it).
-            if (hashOn_)
-                foldEvent(top.when(),
-                          static_cast<std::uint64_t>(top.key), event.tag);
-            // Move the callback out and recycle the slot *before*
-            // invoking, so the callback may schedule freely (including
-            // reusing this very slot) without invalidating anything we
-            // still touch.
-            EventCallback fn = std::move(event.fn);
-            releaseSlot(top.slot);
-            ++executed_;
-            fn();
-            return true;
-        }
-        return false;
-    }
+    bool step() { return dispatchUpTo(kNoPendingEvent); }
 
     /** Run until the queue drains. @return the final time. */
     Tick run();
@@ -397,8 +412,22 @@ class Simulator
     /** Number of events executed so far. */
     std::uint64_t eventsExecuted() const { return executed_; }
 
-    /** Number of events currently pending (including cancelled shells). */
-    std::size_t pendingEvents() const { return heap_.size(); }
+    /**
+     * Number of live pending events: scheduled, not yet fired and not
+     * cancelled. Cancelled entries still waiting in the queue are not
+     * counted.
+     */
+    std::size_t
+    pendingEvents() const
+    {
+        return pool_.size() - freeSlots_.size();
+    }
+
+    /**
+     * Entries in the event heap, cancelled ones included. Exposed so
+     * tests can bound what compaction leaves behind.
+     */
+    std::size_t heapEntries() const { return heap_.size(); }
 
     /**
      * Size of the event slab (high-water mark of simultaneously pending
@@ -455,33 +484,36 @@ class Simulator
   private:
     friend class EventHandle;
 
-    /** Pooled event record; `when`/`seq` live in the heap entry only. */
+    /** Pooled event record; `when`/`seq` live in the queue entry only. */
     struct Event
     {
         EventCallback fn;
         std::uint32_t gen = 0;
         /** Stage tag for the determinism hash (fits existing padding). */
         EventTag tag = EventTag::Generic;
+        /** Queued in the same-tick lane rather than the heap. */
+        bool inLane = false;
     };
 
     /**
-     * 24-byte plain heap record. The sort key packs (when, seq) into one
-     * 128-bit integer so heap ordering is a single branchless compare.
+     * 24-byte plain queue record (heap and lane). Ordering compares the
+     * (when, seq) pair as one 128-bit integer: a single branchless compare.
      */
     struct HeapEntry
     {
-        unsigned __int128 key;
+        Tick tick;
+        std::uint64_t seq;
         std::uint32_t slot;
         std::uint32_t gen;
 
-        Tick when() const { return static_cast<Tick>(key >> 64); }
-    };
+        Tick when() const { return tick; }
 
-    static unsigned __int128
-    makeKey(Tick when, std::uint64_t seq)
-    {
-        return (static_cast<unsigned __int128>(when) << 64) | seq;
-    }
+        unsigned __int128
+        key() const
+        {
+            return (static_cast<unsigned __int128>(tick) << 64) | seq;
+        }
+    };
 
     bool
     live(std::uint32_t slot, std::uint32_t gen) const
@@ -505,13 +537,107 @@ class Simulator
             freeSlots_.size(), pool_.size());
     }
 
-    /** Drop cancelled entries sitting at the top of the heap. */
+    /** Cancel a live event (EventHandle::cancel). */
     void
-    dropStaleTop()
+    cancelEvent(std::uint32_t slot)
     {
-        while (!heap_.empty() &&
-               pool_[heap_.front().slot].gen != heap_.front().gen)
+        const bool in_heap = !pool_[slot].inLane;
+        releaseSlot(slot); // the queue entry is dropped lazily...
+        // ...unless cancelled heap entries now outnumber live ones.
+        if (in_heap && ++cancelledInHeap_ * 2 > heap_.size())
+            compactHeap();
+    }
+
+    /**
+     * The next live queue entry: the smaller key of the lane front and
+     * the heap top, after dropping cancelled entries from both. Null when
+     * nothing live is pending; @p from_lane says which queue it heads.
+     */
+    const HeapEntry *
+    nextLive(bool &from_lane)
+    {
+        while (true) {
+            from_lane = !lane_.empty() &&
+                        (heap_.empty() ||
+                         lane_.front().key() < heap_.front().key());
+            if (!from_lane && heap_.empty())
+                return nullptr;
+            const HeapEntry &next = from_lane ? lane_.front() : heap_.front();
+            if (pool_[next.slot].gen == next.gen)
+                return &next;
+            // Cancelled; the slot was already recycled.
+            if (from_lane) {
+                lane_.pop();
+            } else {
+                heapPop();
+                --cancelledInHeap_;
+            }
+        }
+    }
+
+    /**
+     * Dispatch the next live event if its tick is <= @p limit.
+     * @return whether an event ran.
+     */
+    bool
+    dispatchUpTo(Tick limit)
+    {
+        bool from_lane;
+        const HeapEntry *next = nextLive(from_lane);
+        if (!next || next->when() > limit)
+            return false;
+        const HeapEntry top = *next;
+        if (from_lane) {
+            lane_.pop();
+        } else {
             heapPop();
+            // Time only moves on once the lane has drained, so every lane
+            // entry is always at now().
+            SMARTDS_SIM_INVARIANT(top.when() == now_ || lane_.empty(),
+                                  "clock advancing past a non-empty "
+                                  "same-tick lane at tick %llu",
+                                  static_cast<unsigned long long>(now_));
+        }
+        SMARTDS_SIM_INVARIANT(
+            top.key() >= lastPoppedKey_,
+            "event dispatched out of (tick, seq) order at tick %llu",
+            static_cast<unsigned long long>(top.when()));
+#if SMARTDS_CHECKED_BUILD
+        lastPoppedKey_ = top.key();
+        if ((++popCount_ & 0xfffu) == 0) {
+            verifyHeapOrdering();
+            verifyLane();
+        }
+#endif
+        now_ = top.when();
+        Event &event = pool_[top.slot];
+        // Fold (tick, seq, stage tag) into the determinism hash before the
+        // slot is recycled (recycling does not clear the tag, but the
+        // callback below may overwrite it).
+        if (hashOn_)
+            foldEvent(top.when(), top.seq, event.tag);
+        // Move the callback out and recycle the slot *before* invoking, so
+        // the callback may schedule freely (including reusing this very
+        // slot) without invalidating anything we still touch.
+        EventCallback fn = std::move(event.fn);
+        releaseSlot(top.slot);
+        ++executed_;
+        fn();
+        return true;
+    }
+
+    /** Drop every cancelled heap entry and rebuild the heap (Floyd). */
+    void
+    compactHeap()
+    {
+        std::erase_if(heap_, [this](const HeapEntry &e) {
+            return pool_[e.slot].gen != e.gen;
+        });
+        cancelledInHeap_ = 0;
+        // Sift down every parent, the last one ((n - 2) / 4) first.
+        const std::size_t n = heap_.size();
+        for (std::size_t i = n < 2 ? 0 : (n - 2) / 4 + 1; i-- > 0;)
+            siftDown(i, heap_[i]);
     }
 
     void
@@ -523,7 +649,7 @@ class Simulator
         std::size_t i = heap_.size() - 1;
         while (i > 0) {
             const std::size_t parent = (i - 1) / 4;
-            if (h[parent].key <= e.key)
+            if (h[parent].key() <= e.key())
                 break;
             h[i] = h[parent];
             i = parent;
@@ -534,25 +660,26 @@ class Simulator
     void
     heapPop()
     {
-#if SMARTDS_CHECKED_BUILD
         SMARTDS_SIM_INVARIANT(!heap_.empty(), "popping an empty event heap");
         SMARTDS_SIM_INVARIANT(
             heap_.front().slot < pool_.size(),
             "heap entry names slot %u beyond the %zu-slot pool",
             heap_.front().slot, pool_.size());
-        // Full heap validation is O(n); amortise it across pops.
-        if ((++popCount_ & 0xfffu) == 0)
-            verifyHeapOrdering();
-#endif
         const HeapEntry last = heap_.back();
         heap_.pop_back();
+        if (!heap_.empty())
+            siftDown(0, last);
+    }
+
+    /**
+     * Hole-based sift-down of @p e from index @p i: pull the smallest
+     * child up until @p e fits, then place it once.
+     */
+    void
+    siftDown(std::size_t i, const HeapEntry e)
+    {
         const std::size_t n = heap_.size();
-        if (n == 0)
-            return;
-        // Hole-based sift-down from the root: pull the smallest child up
-        // until `last` fits, then place it once.
         HeapEntry *const h = heap_.data();
-        std::size_t i = 0;
         while (true) {
             const std::size_t first = 4 * i + 1;
             if (first >= n)
@@ -560,15 +687,15 @@ class Simulator
             std::size_t best = first;
             const std::size_t end = std::min(first + 4, n);
             for (std::size_t c = first + 1; c < end; ++c) {
-                if (h[c].key < h[best].key)
+                if (h[c].key() < h[best].key())
                     best = c;
             }
-            if (h[best].key >= last.key)
+            if (h[best].key() >= e.key())
                 break;
             h[i] = h[best];
             i = best;
         }
-        h[i] = last;
+        h[i] = e;
     }
 
 #if SMARTDS_CHECKED_BUILD
@@ -578,9 +705,27 @@ class Simulator
     {
         for (std::size_t i = 1; i < heap_.size(); ++i)
             SMARTDS_SIM_INVARIANT(
-                heap_[(i - 1) / 4].key <= heap_[i].key,
+                heap_[(i - 1) / 4].key() <= heap_[i].key(),
                 "heap property violated between index %zu and its parent",
                 i);
+        SMARTDS_SIM_INVARIANT(cancelledInHeap_ <= heap_.size(),
+                              "%zu cancelled entries in a %zu-entry heap",
+                              cancelledInHeap_, heap_.size());
+    }
+
+    /** Full O(n) validation: lane entries sit at now() in rising seq. */
+    void
+    verifyLane() const
+    {
+        for (std::size_t i = 0; i < lane_.size(); ++i) {
+            SMARTDS_SIM_INVARIANT(lane_[i].when() == now_,
+                                  "lane entry %zu at tick %llu, now %llu", i,
+                                  static_cast<unsigned long long>(
+                                      lane_[i].when()),
+                                  static_cast<unsigned long long>(now_));
+            SMARTDS_SIM_INVARIANT(i == 0 || lane_[i - 1].seq < lane_[i].seq,
+                                  "lane entry %zu out of seq order", i);
+        }
     }
 #endif
 
@@ -597,6 +742,10 @@ class Simulator
     std::vector<Event> pool_;
     std::vector<std::uint32_t> freeSlots_;
     std::vector<HeapEntry> heap_;
+    /** Heap entries whose event was cancelled (dropped at pop/compaction). */
+    std::size_t cancelledInHeap_ = 0;
+    /** Same-tick lane: entries at now(), in rising seq order. */
+    Ring<HeapEntry> lane_;
     bool hashOn_ = SMARTDS_CHECKED_BUILD != 0;
     std::uint32_t stateHash_ = kStateHashSeed;
     std::uint32_t windowEvents_ = 0; ///< 0 = window recording off
@@ -618,7 +767,7 @@ EventHandle::cancel()
 {
     if (!sim_ || !sim_->live(slot_, gen_))
         return false;
-    sim_->releaseSlot(slot_); // heap entry is dropped lazily at pop
+    sim_->cancelEvent(slot_);
     return true;
 }
 

@@ -54,18 +54,26 @@ StorageServer::handleReplica(net::Message msg)
         faults_ ? faults_->extraAppendLatency(config_.appendLatency) : 0;
     if (fabric_.tracer() && msg.trace)
         msg.trace.mark = fabric_.simulator().now(); // Storage span start
-    disk_.transfer(charged, [this, msg = std::move(msg), extra]() mutable {
-        if (extra > 0) {
-            fabric_.simulator().schedule(
-                extra,
-                [this, msg = std::move(msg)]() mutable {
-                    finishReplica(std::move(msg));
-                },
-                sim::EventTag::Storage);
-            return;
-        }
-        finishReplica(std::move(msg));
-    });
+    diskOps_.push(DiskOp{parked().park(std::move(msg)), false, extra});
+    disk_.transfer(charged, [this]() { diskDone(); });
+}
+
+void
+StorageServer::diskDone()
+{
+    const DiskOp op = diskOps_.pop();
+    if (op.fetch) {
+        finishFetch(parked().take(op.ticket));
+    } else if (op.extra > 0) {
+        // The request stays parked while it waits out the extra latency.
+        const std::uint32_t ticket = op.ticket;
+        fabric_.simulator().schedule(
+            op.extra,
+            [this, ticket]() { finishReplica(parked().take(ticket)); },
+            sim::EventTag::Storage);
+    } else {
+        finishReplica(parked().take(op.ticket));
+    }
 }
 
 void
@@ -191,33 +199,38 @@ StorageServer::handleFetch(net::Message msg)
     const Bytes block = payload.size;
     if (fabric_.tracer() && msg.trace)
         msg.trace.mark = fabric_.simulator().now(); // Storage span start
-    disk_.transfer(block, [this, msg = std::move(msg),
-                           payload = std::move(payload),
-                           header = std::move(header)]() mutable {
-        // Crash while the disk read was in flight: no reply.
-        if (faults_ && faults_->crashed()) {
-            faults_->noteDropped();
-            return;
-        }
-        trace::Tracer *tracer = fabric_.tracer();
-        if (tracer && msg.trace && msg.trace.mark != 0) {
-            tracer->record(msg.trace, trace::Stage::Storage, msg.trace.mark,
-                           fabric_.simulator().now());
-            msg.trace.mark = 0;
-        }
-        net::Message reply;
-        reply.dst = msg.src;
-        reply.dstQp = msg.srcQp;
-        reply.srcQp = msg.dstQp;
-        reply.kind = net::MessageKind::ReadFetchReply;
-        reply.headerBytes = calibration::storageHeaderBytes;
-        reply.headerData = std::move(header);
-        reply.payload = std::move(payload);
-        reply.tag = msg.tag;
-        reply.issueTick = msg.issueTick;
-        reply.trace = msg.trace;
-        port_->send(std::move(reply));
-    });
+    msg.payload = std::move(payload);
+    msg.headerData = std::move(header);
+    diskOps_.push(DiskOp{parked().park(std::move(msg)), true, 0});
+    disk_.transfer(block, [this]() { diskDone(); });
+}
+
+void
+StorageServer::finishFetch(net::Message msg)
+{
+    // Crash while the disk read was in flight: no reply.
+    if (faults_ && faults_->crashed()) {
+        faults_->noteDropped();
+        return;
+    }
+    trace::Tracer *tracer = fabric_.tracer();
+    if (tracer && msg.trace && msg.trace.mark != 0) {
+        tracer->record(msg.trace, trace::Stage::Storage, msg.trace.mark,
+                       fabric_.simulator().now());
+        msg.trace.mark = 0;
+    }
+    net::Message reply;
+    reply.dst = msg.src;
+    reply.dstQp = msg.srcQp;
+    reply.srcQp = msg.dstQp;
+    reply.kind = net::MessageKind::ReadFetchReply;
+    reply.headerBytes = calibration::storageHeaderBytes;
+    reply.headerData = std::move(msg.headerData);
+    reply.payload = std::move(msg.payload);
+    reply.tag = msg.tag;
+    reply.issueTick = msg.issueTick;
+    reply.trace = msg.trace;
+    port_->send(std::move(reply));
 }
 
 const net::Payload *

@@ -22,6 +22,7 @@
 #include "faults/fault_injector.h"
 #include "net/fabric.h"
 #include "sim/bandwidth_server.h"
+#include "sim/parking.h"
 
 namespace smartds::storage {
 
@@ -73,15 +74,41 @@ class StorageServer
     void attachFaults(faults::FaultProfile *profile) { faults_ = profile; }
 
   private:
+    /** A request inside disk_. */
+    struct DiskOp
+    {
+        /**
+         * The request, parked in the fabric; a fetch carries its reply's
+         * payload and header there once they are looked up.
+         */
+        std::uint32_t ticket = 0;
+        bool fetch = false;
+        /** Fault-injected latency to add after a replica append. */
+        Tick extra = 0;
+    };
+
+    /** This node's domain's parked messages (see Fabric::parked). */
+    sim::SlotTable<net::Message> &
+    parked()
+    {
+        return fabric_.parked(port_->domainIndex());
+    }
+
     void handle(net::Message msg);
     void handleReplica(net::Message msg);
     void finishReplica(net::Message msg);
     void handleFetch(net::Message msg);
+    void finishFetch(net::Message msg);
+
+    /** disk_ completion: the oldest request's disk work is done. */
+    void diskDone();
 
     net::Fabric &fabric_;
     Config config_;
     net::Port *port_;
     sim::BandwidthServer disk_;
+    /** Requests inside disk_, oldest first (disk_ completes in order). */
+    sim::Ring<DiskOp> diskOps_;
     faults::FaultProfile *faults_ = nullptr;
     std::uint64_t blocksStored_ = 0;
     Bytes bytesStored_ = 0;

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
+#include "common/random.h"
 #include "common/rate_meter.h"
 #include "sim/bandwidth_server.h"
 #include "sim/simulator.h"
@@ -63,16 +67,41 @@ TEST(BandwidthServer, PipelineLatencyDoesNotBlockNextTransfer)
     EXPECT_EQ(second, 2_us + 10_us);
 }
 
-TEST(BandwidthServer, TransferTimedReportsQueueWait)
+TEST(BandwidthServer, CompletionsFollowSubmissionOrder)
 {
-    Simulator sim;
-    BandwidthServer server(sim, "s", 1e9);
-    Tick wait1 = 99, wait2 = 99;
-    server.transferTimed(1000, [&](Tick w) { wait1 = w; });
-    server.transferTimed(1000, [&](Tick w) { wait2 = w; });
-    sim.run();
-    EXPECT_EQ(wait1, 0u);
-    EXPECT_EQ(wait2, 1000_ns);
+    // Components park per-transfer state in a FIFO and pop it on each
+    // completion, so completions must come back in submission order —
+    // across rate changes (a slower rate must not let a later transfer
+    // overtake), zero-byte transfers and equal finish ticks.
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        Simulator sim;
+        BandwidthServer server(sim, "s", 1e9, seed % 3 == 0 ? 0 : 250_ns);
+        Rng rng(seed);
+        std::vector<int> order;
+        int submitted = 0;
+        std::function<void()> burst = [&]() {
+            const unsigned n = 1 + static_cast<unsigned>(rng.below(6));
+            for (unsigned i = 0; i < n; ++i) {
+                // Near-infinite rates give zero service ticks: equal
+                // finish ticks back to back.
+                if (rng.below(4) == 0)
+                    server.setRate(rng.below(2) ? 1e15
+                                                : 1e8 * (1 + rng.below(40)));
+                const Bytes bytes = rng.below(3) == 0 ? 0 : rng.below(5000);
+                server.transfer(bytes, [&order, id = submitted++]() {
+                    order.push_back(id);
+                });
+            }
+            if (submitted < 400)
+                sim.schedule(rng.below(3) * 100_ns, [&burst]() { burst(); });
+        };
+        burst();
+        sim.run();
+        ASSERT_EQ(order.size(), static_cast<std::size_t>(submitted));
+        for (int i = 0; i < submitted; ++i)
+            ASSERT_EQ(order[static_cast<std::size_t>(i)], i)
+                << "seed " << seed;
+    }
 }
 
 TEST(BandwidthServer, BacklogTracksOutstandingWork)

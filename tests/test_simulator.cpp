@@ -1,14 +1,18 @@
 /**
  * @file
  * Unit tests for the discrete-event kernel: ordering, cancellation,
- * deterministic tie-breaking and run-until semantics.
+ * deterministic tie-breaking, run-until semantics, and a seeded
+ * differential test against a reference model.
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "sim/simulator.h"
 
 namespace smartds::sim {
@@ -197,6 +201,138 @@ TEST(Simulator, CancelledSlotReusePreservesSameTickFifo)
         sim.schedule(5_ns, [&order, i]() { order.push_back(i); });
     sim.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 4, 6, 7, 8, 9, 10, 11}));
+}
+
+TEST(Simulator, CompactionOfAnAllCancelledHeap)
+{
+    // Cancelling every heap entry compacts the heap down to nothing; the
+    // kernel must then carry on with an empty heap.
+    Simulator sim;
+    std::vector<EventHandle> timers;
+    for (int i = 0; i < 5; ++i)
+        timers.push_back(sim.schedule((i + 1) * 1_us, []() {}));
+    for (EventHandle &h : timers)
+        EXPECT_TRUE(h.cancel());
+    EXPECT_EQ(sim.heapEntries(), 0u);
+    bool fired = false;
+    sim.schedule(2_us, [&]() { fired = true; });
+    sim.run();
+    EXPECT_TRUE(fired);
+    EXPECT_EQ(sim.now(), 2_us);
+}
+
+TEST(Simulator, PendingEventsCountsLiveEventsOnly)
+{
+    Simulator sim;
+    EventHandle far = sim.schedule(10_ns, []() {});
+    EventHandle now = sim.schedule(0, []() {});
+    sim.schedule(5_ns, []() {});
+    EXPECT_EQ(sim.pendingEvents(), 3u);
+    EXPECT_TRUE(far.cancel());
+    EXPECT_TRUE(now.cancel());
+    EXPECT_EQ(sim.pendingEvents(), 1u);
+    EXPECT_EQ(sim.nextEventTick(), 5_ns);
+    sim.run();
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+    EXPECT_EQ(sim.nextEventTick(), Simulator::kNoPendingEvent);
+}
+
+/**
+ * Differential test of the kernel against a std::set<(tick, seq)>
+ * reference model. Random schedules (a third of them zero-delay, most
+ * issued from inside callbacks), cancels of same-tick-lane and heap
+ * entries, bursts of cancelled timers that force heap compaction, and
+ * runUntil() deadlines must all dispatch exactly in model order.
+ */
+TEST(Simulator, DispatchOrderMatchesReferenceModel)
+{
+    using Key = std::pair<Tick, std::uint64_t>;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        Simulator sim;
+        Rng rng(seed);
+        std::set<Key> model; // pending (tick, schedule order)
+        std::vector<std::pair<EventHandle, Key>> handles;
+        std::uint64_t next_id = 0;
+        std::uint64_t fired = 0;
+        std::uint64_t mismatches = 0;
+        constexpr std::uint64_t kBudget = 6000;
+
+        std::function<EventHandle(Tick)> add = [&](Tick delay) {
+            const Key key{sim.now() + delay, next_id++};
+            model.insert(key);
+            EventHandle h = sim.schedule(delay, [&, key]() {
+                if (model.empty() || *model.begin() != key ||
+                    sim.now() != key.first)
+                    ++mismatches;
+                model.erase(key);
+                ++fired;
+                const unsigned n = static_cast<unsigned>(rng.below(4));
+                for (unsigned i = 0; i < n && next_id < kBudget; ++i)
+                    add(rng.below(3) == 0 ? 0 : rng.below(60) * 1_ns);
+                if (rng.below(5) == 0 && next_id < kBudget) {
+                    // A same-tick lane entry, cancelled at once.
+                    const Key lane_key{sim.now(), next_id};
+                    EXPECT_TRUE(add(0).cancel());
+                    model.erase(lane_key);
+                }
+            });
+            handles.emplace_back(h, key);
+            return h;
+        };
+        auto cancel_random = [&]() {
+            auto &[h, key] = handles[rng.below(handles.size())];
+            const bool was_pending = model.erase(key) == 1;
+            EXPECT_EQ(h.pending(), was_pending);
+            EXPECT_EQ(h.cancel(), was_pending);
+        };
+
+        for (int i = 0; i < 20; ++i)
+            add(rng.below(100) * 1_ns);
+        while (next_id < kBudget) {
+            switch (rng.below(4)) {
+              case 0: {
+                const Tick deadline = sim.now() + rng.below(300) * 1_ns;
+                sim.runUntil(deadline);
+                EXPECT_EQ(sim.now(), deadline);
+                EXPECT_TRUE(model.empty() || model.begin()->first > deadline);
+                break;
+              }
+              case 1:
+                for (int i = 0; i < 8; ++i)
+                    cancel_random();
+                break;
+              case 2:
+                // A burst of long timers, nearly all cancelled: the shape
+                // of replica-ack timeouts. Right after a heap cancel, the
+                // cancelled entries never outnumber the live ones.
+                for (int i = 0; i < 64; ++i)
+                    add(2_us + rng.below(1000) * 1_ns);
+                for (int i = 0; i < 60; ++i)
+                    cancel_random();
+                {
+                    const Key timer_key{sim.now() + 3_us, next_id};
+                    EXPECT_TRUE(add(3_us).cancel());
+                    model.erase(timer_key);
+                }
+                EXPECT_LE(sim.heapEntries(), 2 * sim.pendingEvents());
+                break;
+              default:
+                if (!sim.step())
+                    add(rng.below(10) * 1_ns);
+                break;
+            }
+            EXPECT_EQ(sim.pendingEvents(), model.size());
+            EXPECT_EQ(sim.nextEventTick(), model.empty()
+                                               ? Simulator::kNoPendingEvent
+                                               : model.begin()->first);
+            if (model.empty())
+                add(0);
+        }
+        sim.run();
+        EXPECT_TRUE(model.empty()) << "seed " << seed;
+        EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+        EXPECT_EQ(sim.eventsExecuted(), fired);
+    }
 }
 
 TEST(Simulator, ManyEventsStressOrdering)

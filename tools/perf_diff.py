@@ -6,26 +6,46 @@ Usage:
 
 Both files hold one JSON object per line, as written by the bench
 harness (bench/bench_common.h). Records are keyed by (bench, jobs,
-smoke, shards); the last record per key wins, so append-only histories
-compare their most recent runs. Records written before the PDES shards
-knob existed carry no "shards" field and default to 1, matching the
-legacy serial kernel the new harness reports as shards=1. Records
-without an "events_per_sec" field (for example micro_functional's
-cache_speedup telemetry) are informational and skipped.
+smoke, shards, host); the last record per key wins, so append-only
+histories compare their most recent runs. The host is the fingerprint
+the harness stamps on every record, (nproc, cpu_model): events/sec from
+two machines says nothing about a change, so a record is only compared
+with a baseline record from the same host. Records written before the
+harness stamped hosts count as an unknown host, which matches only other
+unknown-host records. Records written before the PDES shards knob
+existed carry no "shards" field and default to 1, matching the legacy
+serial kernel the new harness reports as shards=1. Records without an
+"events_per_sec" field (for example micro_functional's cache_speedup
+telemetry) are informational and skipped.
 
 Exit status: 1 if any key common to both files regressed by more than
-the threshold, 0 otherwise — including when the files share no keys
-(a fresh bench has no baseline yet).
+the threshold, 0 otherwise — including when the files share no keys (a
+fresh bench, or a baseline recorded on another host, has nothing to
+compare against).
 """
 
 import argparse
 import json
 import sys
 
+UNKNOWN_HOST = (None, "unknown host")
+
+
+def host_of(record):
+    """(nproc, cpu_model) of the machine that wrote @p record."""
+    if "nproc" not in record and "cpu_model" not in record:
+        return UNKNOWN_HOST
+    return (record.get("nproc"), record.get("cpu_model"))
+
+
+def host_label(host):
+    nproc, model = host
+    return model if nproc is None else f"{nproc} x {model}"
+
 
 def load(path):
-    """Last record per (bench, jobs, smoke, shards) key; non-perf lines
-    are skipped."""
+    """Last record per (bench, jobs, smoke, shards, host) key; non-perf
+    lines are skipped."""
     records = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -44,6 +64,7 @@ def load(path):
                     record.get("jobs", 0),
                     record.get("smoke", False),
                     record.get("shards", 1),
+                    host_of(record),
                 )
                 records[key] = record
     except OSError as error:
@@ -64,15 +85,29 @@ def main():
 
     baseline = load(args.baseline)
     current = load(args.current)
-    common = sorted(set(baseline) & set(current))
+    common = sorted(set(baseline) & set(current), key=str)
+
+    # Keys the baseline only holds from another machine: say so, so an
+    # empty comparison is never mistaken for a clean one.
+    baseline_hosts = {}
+    for key in baseline:
+        baseline_hosts.setdefault(key[:4], set()).add(key[4])
+    for key in sorted(set(current) - set(baseline), key=str):
+        others = baseline_hosts.get(key[:4])
+        if others:
+            bench, jobs, smoke, shards, host = key
+            print(f"perf_diff: skipped {bench} (jobs {jobs}, smoke {smoke}, "
+                  f"shards {shards}) on {host_label(host)}: baseline is "
+                  f"from {', '.join(sorted(map(host_label, others)))}")
+
     if not common:
-        print("perf_diff: no common (bench, jobs, smoke) keys; nothing "
-              "to compare")
+        print("perf_diff: no common (bench, jobs, smoke, shards, host) "
+              "keys; nothing to compare")
         return 0
 
     regressions = 0
     print(f"{'bench':28} {'jobs':>4} {'smoke':>5} {'shards':>6} "
-          f"{'base ev/s':>12} {'curr ev/s':>12} {'ratio':>7}")
+          f"{'base ev/s':>12} {'curr ev/s':>12} {'ratio':>7}  host")
     for key in common:
         base = baseline[key]["events_per_sec"]
         curr = current[key]["events_per_sec"]
@@ -81,9 +116,10 @@ def main():
         if base > 0 and ratio < 1.0 - args.threshold:
             flag = "  << REGRESSION"
             regressions += 1
-        bench, jobs, smoke, shards = key
+        bench, jobs, smoke, shards, host = key
         print(f"{bench:28} {jobs:>4} {str(smoke):>5} {shards:>6} "
-              f"{base:>12.0f} {curr:>12.0f} {ratio:>6.2f}x{flag}")
+              f"{base:>12.0f} {curr:>12.0f} {ratio:>6.2f}x  "
+              f"{host_label(host)}{flag}")
 
     if regressions:
         print(f"perf_diff: {regressions} key(s) regressed more than "
