@@ -201,10 +201,10 @@ sweep(std::initializer_list<T> full)
  *    results/<bench>_statehash.csv for cross-process comparison.
  *
  * On destruction appends one JSON line to results/bench_perf.jsonl with
- * the events executed, wall-clock, events/sec and peak RSS of the run,
- * stamped with the host fingerprint (nproc, CPU model), so the repo's
- * simulation-performance trajectory is measurable PR-over-PR on one
- * machine.
+ * the events executed (also per stage tag), PDES rounds, wall-clock,
+ * events/sec and peak RSS of the run, stamped with the host fingerprint
+ * (nproc, CPU model), so the repo's simulation-performance trajectory is
+ * measurable PR-over-PR on one machine.
  */
 class Harness
 {
@@ -266,14 +266,26 @@ class Harness
         }
         domain_events += "]";
 
+        // Dispatches per stage tag: which layer the events came from.
+        std::string tag_events = "{";
+        for (std::size_t t = 0; t < sim::kEventTagCount; ++t) {
+            char buf[48];
+            std::snprintf(buf, sizeof(buf), "%s\"%s\":%llu", t ? "," : "",
+                          sim::eventTagName(static_cast<sim::EventTag>(t)),
+                          static_cast<unsigned long long>(tagEvents_[t]));
+            tag_events += buf;
+        }
+        tag_events += "}";
+
         const HostFingerprint host = hostFingerprint();
-        char line[1024];
+        char line[2048];
         std::snprintf(
             line, sizeof(line),
             "{\"bench\":\"%s\",\"jobs\":%u,\"smoke\":%s,"
             "\"shards\":%u,\"domains\":%u,"
             "\"events\":%llu,\"wall_s\":%.3f,\"events_per_sec\":%.0f,"
             "\"cross_events\":%llu,\"domain_events\":%s,"
+            "\"tag_events\":%s,\"rounds\":%llu,"
             "\"peak_rss_mb\":%.1f,\"unix_time\":%lld,"
             "\"nproc\":%u,\"cpu_model\":\"%s\"}",
             name_.c_str(), jobs_, smoke() ? "true" : "false",
@@ -281,8 +293,9 @@ class Harness
             static_cast<unsigned long long>(events), wall,
             wall > 0.0 ? static_cast<double>(events) / wall : 0.0,
             static_cast<unsigned long long>(crossEvents_),
-            domain_events.c_str(), rss_mb, unixTime(), host.nproc,
-            host.cpuModel.c_str());
+            domain_events.c_str(), tag_events.c_str(),
+            static_cast<unsigned long long>(rounds_), rss_mb, unixTime(),
+            host.nproc, host.cpuModel.c_str());
 
         // One write() on an O_APPEND fd: several bench binaries running
         // under ctest -j append here concurrently, and buffered ofstream
@@ -318,6 +331,9 @@ class Harness
     {
         events_ += result.eventsExecuted;
         crossEvents_ += result.crossChannelEvents;
+        rounds_ += result.pdesRounds;
+        for (std::size_t t = 0; t < sim::kEventTagCount; ++t)
+            tagEvents_[t] += result.tagEvents[t];
         maxDomains_ = std::max(maxDomains_, result.timingDomains);
         if (domainEvents_.size() < result.domainEvents.size())
             domainEvents_.resize(result.domainEvents.size(), 0);
@@ -483,6 +499,8 @@ class Harness
     // dsan pass (logically read-only) reruns experiments it must count.
     mutable std::uint64_t events_ = 0;
     mutable std::uint64_t crossEvents_ = 0;
+    mutable std::uint64_t rounds_ = 0;
+    mutable sim::TagCounts tagEvents_{};
     mutable unsigned maxDomains_ = 1;
     mutable std::vector<std::uint64_t> domainEvents_;
 };

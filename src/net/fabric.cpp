@@ -109,21 +109,28 @@ Port *
 Fabric::createPort(const std::string &name, BytesPerSecond line_rate,
                    Framing framing)
 {
-    const NodeId id = nextId_++;
-    auto port = std::make_unique<Port>(simulator(), *this, name, id,
-                                       line_rate, framing);
-    Port *raw = port.get();
-    ports_.emplace(id, std::move(port));
-    return raw;
+    // Ids start at 1, so slot 0 stays empty and id 0 is never a port.
+    if (ports_.empty())
+        ports_.emplace_back();
+    const NodeId id = static_cast<NodeId>(ports_.size());
+    ports_.push_back(std::make_unique<Port>(simulator(), *this, name, id,
+                                            line_rate, framing));
+    return ports_.back().get();
+}
+
+Port *
+Fabric::find(NodeId id) const
+{
+    return id < ports_.size() ? ports_[id].get() : nullptr;
 }
 
 Port *
 Fabric::port(NodeId id) const
 {
-    const auto it = ports_.find(id);
-    if (it == ports_.end())
+    Port *p = find(id);
+    if (!p)
         fatal("no port with node id %u", id);
-    return it->second.get();
+    return p;
 }
 
 void
@@ -134,10 +141,9 @@ Fabric::route(unsigned domain, std::uint32_t ticket)
                           sim::currentDomain());
     sim::SlotTable<Message> &parked = parked_[domain];
     const NodeId dst_id = parked[ticket].dst;
-    const auto it = ports_.find(dst_id);
-    if (it == ports_.end())
+    Port *dst = find(dst_id);
+    if (!dst)
         fatal("message to unknown node id %u", dst_id);
-    Port *dst = it->second.get();
     const unsigned dstDomain = dst->domainIndex();
     if (cluster_ && dstDomain != domain) {
         // Cross-domain hop: hand the delivery to the cluster's channel.

@@ -20,7 +20,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/calibration.h"
@@ -245,6 +244,9 @@ class Fabric
     /** Delay-line completion: the oldest in-flight message of @p domain. */
     void land(unsigned domain);
 
+    /** The port with node id @p id, or null if there is none. */
+    Port *find(NodeId id) const;
+
     std::vector<sim::Simulator *> sims_; ///< one per domain
     sim::ClusterSim *cluster_ = nullptr; ///< null when standalone
     /**
@@ -256,8 +258,8 @@ class Fabric
     std::vector<sim::Ring<InFlight>> inFlight_;
     std::vector<sim::SlotTable<Message>> parked_; ///< one per domain
     Tick delay_;
-    NodeId nextId_ = 1;
-    std::unordered_map<NodeId, std::unique_ptr<Port>> ports_;
+    /** Ports indexed by node id; createPort() hands ids out densely. */
+    std::vector<std::unique_ptr<Port>> ports_;
     std::vector<trace::Tracer *> tracers_;         ///< one slot per domain
     std::vector<trace::MetricsRegistry *> metrics_; ///< one slot per domain
 };

@@ -70,7 +70,7 @@ ClusterSim::drainChannels()
 {
     const unsigned d = domains();
     // Gather per destination so the merge sort-key never compares events
-    // bound for different heaps. Indices into the channel buffers are
+    // bound for different queues. Indices into the channel buffers are
     // sorted instead of the events themselves (CrossEvent holds a
     // callback; moving it once, in final order, is enough).
     struct Ref
@@ -172,7 +172,7 @@ ClusterSim::workerLoop(unsigned worker)
             horizon = horizon_;
         }
         // Static assignment domain -> worker (d % shards): deterministic,
-        // and each domain's heap is touched by exactly one thread per
+        // and each domain's queue is touched by exactly one thread per
         // round. runUntil() pins currentDomain() for post()'s benefit.
         for (unsigned d = worker; d < domains(); d += shards_)
             sims_[d]->runUntil(horizon);
@@ -257,6 +257,16 @@ ClusterSim::eventsExecuted() const
     std::uint64_t total = 0;
     for (const auto &sim : sims_)
         total += sim->eventsExecuted();
+    return total;
+}
+
+TagCounts
+ClusterSim::tagEventsExecuted() const
+{
+    TagCounts total{};
+    for (const auto &sim : sims_)
+        for (std::size_t t = 0; t < kEventTagCount; ++t)
+            total[t] += sim->tagEventsExecuted()[t];
     return total;
 }
 

@@ -4,9 +4,9 @@
  *
  * A ClusterSim partitions one experiment into D timing domains (logical
  * processes). Each domain owns a private Simulator — its own slab event
- * pool, 4-ary heap, clock, and determinism-sanitizer state — and domains
- * exchange events only through timestamped FIFO channels with a fixed
- * lookahead L (the fabric's minimum cross-domain link latency).
+ * pool, radix event queue, clock, and determinism-sanitizer state — and
+ * domains exchange events only through timestamped FIFO channels with a
+ * fixed lookahead L (the fabric's minimum cross-domain link latency).
  *
  * Advancement is barrier/LBTS-style rounds rather than null messages:
  *
@@ -140,6 +140,9 @@ class ClusterSim
         return sims_[d]->eventsExecuted();
     }
 
+    /** Events executed across all domains, per stage tag. */
+    TagCounts tagEventsExecuted() const;
+
     /** Total events that crossed a domain boundary (channel traffic). */
     std::uint64_t crossEventsPosted() const;
 
@@ -169,7 +172,7 @@ class ClusterSim
         return channels_[src * sims_.size() + dst];
     }
 
-    /** Merge all buffered channel events into their destination heaps. */
+    /** Merge all buffered channel events into their destination queues. */
     void drainChannels();
 
     /** Run every domain to @p horizon, on workers when shards > 1. */

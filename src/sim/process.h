@@ -21,20 +21,37 @@
  *
  * Domain locality (PDES): a Process binds to exactly one Simulator — the
  * one it was spawned on — and every resume it schedules lands back on
- * that same heap. Under a multi-domain ClusterSim this means coroutines
- * never cross timing domains: a component's request loops run entirely
- * inside the component's own domain, and only fabric messages (which
- * route through the lookahead-checked channels) leave it. Nothing here
- * needed to change for sharded execution.
+ * that same event queue. Under a multi-domain ClusterSim this means
+ * coroutines never cross timing domains: a component's request loops run
+ * entirely inside the component's own domain, and only fabric messages
+ * (which route through the lookahead-checked channels) leave it. Nothing
+ * here needed to change for sharded execution.
+ *
+ * Pools: a request allocates a Completion state or a coroutine frame at
+ * almost every step, so neither comes from the general-purpose heap once
+ * warm. Both are carved from per-thread size-class free lists
+ * (detail::BlockPool): a freed block goes onto the freeing thread's list
+ * for its size class, and the next allocation of that class on the thread
+ * pops it. A Completion's share count is a plain integer. None of this
+ * needs a lock or an atomic, because of the locality rule above: a live
+ * Completion or frame never leaves its timing domain, and under PDES one
+ * thread runs a domain in each round, so no two threads ever touch the
+ * same object at once (the round barrier orders one round's thread
+ * before the next's). A block freed on another thread than the one that
+ * allocated it — the experiment thread tearing down what a worker built —
+ * simply joins the freeing thread's list. Each list is returned to the
+ * general-purpose heap when its thread exits.
  */
 
 #ifndef SMARTDS_SIM_PROCESS_H_
 #define SMARTDS_SIM_PROCESS_H_
 
+#include <array>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -44,6 +61,107 @@
 #include "sim/simulator.h"
 
 namespace smartds::sim {
+
+namespace detail {
+
+/**
+ * Size-class free lists of small blocks for the calling thread (see the
+ * file comment). Sizes round up to kGranule; a request above kMaxBlock
+ * goes straight to the general-purpose heap. Blocks are never returned to
+ * the heap while their thread runs, so a class's list holds as many
+ * blocks as the thread ever had live at once.
+ */
+class BlockPool
+{
+  public:
+    static constexpr std::size_t kGranule = 16;
+    /** Covers the middle tier's per-request write coroutines (~1.3 KiB). */
+    static constexpr std::size_t kMaxBlock = 2048;
+
+    constexpr BlockPool() = default;
+    BlockPool(const BlockPool &) = delete;
+    BlockPool &operator=(const BlockPool &) = delete;
+
+    ~BlockPool()
+    {
+        for (Block *head : free_) {
+            while (head) {
+                Block *next = head->next;
+                heapFree(head);
+                head = next;
+            }
+        }
+    }
+
+    /** A block of at least @p size bytes. */
+    void *
+    allocate(std::size_t size)
+    {
+        if (size <= kMaxBlock) {
+            const std::size_t c = classOf(size);
+            if (Block *block = free_[c]) {
+                free_[c] = block->next;
+                return block;
+            }
+            size = (c + 1) * kGranule;
+        }
+        return heapAllocate(size);
+    }
+
+    /** Return a block allocate(@p size) handed out. */
+    void
+    deallocate(void *p, std::size_t size) noexcept
+    {
+        if (size > kMaxBlock) {
+            heapFree(p);
+            return;
+        }
+        const std::size_t c = classOf(size);
+        free_[c] = ::new (p) Block{free_[c]};
+    }
+
+  private:
+    struct Block
+    {
+        Block *next;
+    };
+
+    // The general-purpose heap, kept out of line: inlined, GCC pairs
+    // Process::promise_type::operator delete with the ::operator new it
+    // can then see and reports a mismatch (-Wmismatched-new-delete).
+    [[gnu::noinline]] static void *
+    heapAllocate(std::size_t size)
+    {
+        return ::operator new(size);
+    }
+
+    [[gnu::noinline]] static void
+    heapFree(void *p) noexcept
+    {
+        ::operator delete(p);
+    }
+
+    static constexpr std::size_t
+    classOf(std::size_t size)
+    {
+        return size == 0 ? 0 : (size - 1) / kGranule;
+    }
+
+    std::array<Block *, kMaxBlock / kGranule> free_{};
+};
+
+/** The calling thread's BlockPool. */
+inline BlockPool &
+blockPool()
+{
+    // simlint: allow(shared-sim-state): thread-local by definition; a
+    // block only ever serves objects of one timing domain at a time, and
+    // one thread runs a domain at a time (see the file comment)
+    static thread_local BlockPool pool;
+    return pool;
+}
+
+} // namespace detail
 
 /**
  * Fire-and-forget coroutine task. The coroutine frame destroys itself on
@@ -67,6 +185,19 @@ class Process
         unhandled_exception()
         {
             panic("unhandled exception escaped a sim::Process");
+        }
+
+        /** Coroutine frames come from the per-thread block pool. */
+        static void *
+        operator new(std::size_t size)
+        {
+            return detail::blockPool().allocate(size);
+        }
+
+        static void
+        operator delete(void *p, std::size_t size) noexcept
+        {
+            detail::blockPool().deallocate(p, size);
         }
     };
 
@@ -127,34 +258,66 @@ delay(Simulator &sim, Tick d, EventTag tag = EventTag::Generic)
 /**
  * A one-shot asynchronous completion carrying a 64-bit result value.
  *
- * Copies share state (shared_ptr semantics), so a Completion can be handed
- * to both the producer (device model) and consumers (awaiting processes).
- * Awaiting an already-complete Completion does not suspend.
+ * Copies share state, so a Completion can be handed to both the producer
+ * (device model) and consumers (awaiting processes). Awaiting an
+ * already-complete Completion does not suspend. The shared state comes
+ * from the per-thread block pool and is counted with a plain integer
+ * (see the file comment for why that is safe).
  */
 class Completion
 {
   public:
     Completion(Simulator &sim)
-        : state_(std::make_shared<State>(State{&sim, {}, 0, false, {}}))
+        : state_(::new (detail::blockPool().allocate(sizeof(State)))
+                     State(sim))
     {
+    }
+
+    Completion(const Completion &other) noexcept : state_(other.state_)
+    {
+        ++state_->refs;
+    }
+
+    Completion(Completion &&other) noexcept
+        : state_(std::exchange(other.state_, nullptr))
+    {
+    }
+
+    Completion &
+    operator=(Completion other) noexcept
+    {
+        std::swap(state_, other.state_);
+        return *this;
+    }
+
+    ~Completion()
+    {
+        if (state_ && --state_->refs == 0) {
+            state_->~State();
+            detail::blockPool().deallocate(state_, sizeof(State));
+        }
     }
 
     /** Mark complete with @p value and wake all waiters. */
     void
     complete(std::uint64_t value = 0)
     {
-        SMARTDS_CHECK(!state_->done, "double completion");
-        state_->done = true;
-        state_->value = value;
-        auto waiters = std::move(state_->waiters);
-        state_->waiters.clear();
-        for (auto h : waiters)
-            state_->sim->schedule(0, [h]() { h.resume(); });
-        auto callbacks = std::move(state_->callbacks);
-        state_->callbacks.clear();
-        for (auto &fn : callbacks)
-            state_->sim->schedule(0,
-                                  [fn = std::move(fn), value]() { fn(value); });
+        State &s = *state_;
+        SMARTDS_CHECK(!s.done, "double completion");
+        s.done = true;
+        s.value = value;
+        // Waiters in the order they suspended, then callbacks: each gets
+        // its own zero-delay event, in that order.
+        if (s.waiter) {
+            wake(s.waiter);
+            s.waiter = nullptr;
+        }
+        for (const std::coroutine_handle<> h : s.moreWaiters)
+            wake(h);
+        s.moreWaiters.clear();
+        for (auto &fn : s.callbacks)
+            s.sim->schedule(0, [fn = std::move(fn), value]() { fn(value); });
+        s.callbacks.clear();
     }
 
     /**
@@ -186,7 +349,10 @@ class Completion
     void
     await_suspend(std::coroutine_handle<> h)
     {
-        state_->waiters.push_back(h);
+        if (!state_->waiter)
+            state_->waiter = h;
+        else
+            state_->moreWaiters.push_back(h);
     }
     /** @return the completion value. */
     std::uint64_t await_resume() const noexcept { return state_->value; }
@@ -194,13 +360,25 @@ class Completion
   private:
     struct State
     {
+        explicit State(Simulator &s) : sim(&s) {}
+
         Simulator *sim;
-        std::vector<std::coroutine_handle<>> waiters;
-        std::uint64_t value;
-        bool done;
+        std::uint64_t value = 0;
+        unsigned refs = 1;
+        bool done = false;
+        /** The first waiter; nearly every Completion has at most one. */
+        std::coroutine_handle<> waiter;
+        std::vector<std::coroutine_handle<>> moreWaiters;
         std::vector<std::function<void(std::uint64_t)>> callbacks;
     };
-    std::shared_ptr<State> state_;
+
+    void
+    wake(std::coroutine_handle<> h)
+    {
+        state_->sim->schedule(0, [h]() { h.resume(); });
+    }
+
+    State *state_;
 };
 
 /**

@@ -34,6 +34,23 @@ DomainScope::~DomainScope()
     tCurrentDomain = saved_;
 }
 
+const char *
+eventTagName(EventTag tag)
+{
+    switch (tag) {
+      case EventTag::Generic: return "generic";
+      case EventTag::Net: return "net";
+      case EventTag::Nic: return "nic";
+      case EventTag::Host: return "host";
+      case EventTag::Device: return "device";
+      case EventTag::Storage: return "storage";
+      case EventTag::Client: return "client";
+      case EventTag::Maintenance: return "maintenance";
+      case EventTag::Test: return "test";
+    }
+    return "unknown";
+}
+
 Tick
 Simulator::run()
 {

@@ -2,34 +2,51 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * The kernel is a cancellable pending-event priority queue over integer
- * picosecond ticks. Events scheduled for the same tick fire in scheduling
- * order (a monotonic sequence number breaks ties), which keeps simulations
+ * The kernel is a cancellable pending-event queue over integer picosecond
+ * ticks. Events scheduled for the same tick fire in scheduling order (a
+ * monotonic sequence number breaks ties), which keeps simulations
  * deterministic.
  *
  * The hot path is allocation-averse: event records live in a slab pool and
  * are recycled through a free list, cancellation is a generation-counter
- * check (no shared control block), the pending queue is an implicit 4-ary
- * heap of plain records, and callbacks are stored in a
- * small-buffer-optimized holder so the common capturing lambda never
- * touches the general-purpose heap. Figure sweeps push hundreds of
- * millions of events through this kernel, so every per-event allocation
- * removed here is minutes off a full reproduction run.
+ * check (no shared control block), and callbacks are built in place, inside
+ * the event record, by a small-buffer-optimized holder, so the common
+ * capturing lambda never touches the general-purpose heap. Figure sweeps
+ * push hundreds of millions of events through this kernel, so every
+ * per-event allocation removed here is minutes off a full reproduction run.
  *
- * Two refinements keep the heap small and cheap:
- *  - Events scheduled for now() skip the heap and join a FIFO *same-tick
- *    lane*. Keys are unique and lane entries arrive in seq order, so
- *    dispatching whichever of the lane front and the heap top has the
- *    smaller (tick, seq) key is exactly heap order.
- *  - Cancelled events leave their heap entry behind (cancellation is O(1)).
- *    Once such entries outnumber the live ones, the heap drops them all
- *    and is rebuilt, so long-lived cancelled timers cannot bloat it.
+ * The pending queue is a monotone radix queue over ticks. It keeps a base
+ * tick, the tick of the last dispatched event; every pending event is at
+ * or after it, because every schedule is at or after now() and now() is
+ * at or after the base.
+ *  - Bucket k >= 1 holds the events whose tick first differs from the base
+ *    in bit k-1 (counting down from the top): bucket = bit_width(tick ^
+ *    base). A lower bucket therefore holds earlier ticks.
+ *  - Bucket 0 holds the events at the base tick, in seq order. It is also
+ *    the *same-tick lane*: an event scheduled for now() while the base is
+ *    at now() joins its tail, behind every older event of the tick.
+ *  - Dispatch pops bucket 0's head. When bucket 0 is empty, the lowest
+ *    non-empty bucket is re-bucketed around its minimum: the base moves to
+ *    that tick, and each of the bucket's events drops into a lower bucket.
+ *    Buckets above it stay correct, since their ticks differ from the old
+ *    and the new base in the same top bit. An event is re-bucketed at most
+ *    64 times.
+ *
+ * Events are linked into their bucket through the slab itself (doubly
+ * linked slot indices), so a bucket never allocates, and a cancel unlinks
+ * its event at once: the queue holds live events only. The base moves
+ * only when an event is dispatched; a peek (nextEventTick(), or a
+ * runUntil() that stops at its deadline) must leave it alone, because a
+ * caller may then schedule below the tick it peeked (sim::ClusterSim does,
+ * when it drains channel events into a domain).
  */
 
 #ifndef SMARTDS_SIM_SIMULATOR_H_
 #define SMARTDS_SIM_SIMULATOR_H_
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -41,7 +58,6 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/time.h"
-#include "sim/parking.h"
 
 namespace smartds::sim {
 
@@ -97,22 +113,7 @@ class EventCallback
                   std::is_invocable_r_v<void, Fn &>>>
     EventCallback(F &&f) // NOLINT: implicit by design
     {
-        if constexpr (sizeof(Fn) <= inlineCapacity &&
-                      alignof(Fn) <= alignof(std::max_align_t) &&
-                      std::is_nothrow_move_constructible_v<Fn>) {
-            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
-            ops_ = &inlineOps<Fn>;
-            if constexpr (trivialInline<Fn>)
-                clearTail(sizeof(Fn));
-        } else {
-            // simlint: allow(naked-new): the SBO fallback box; ownership
-            // is carried by ops_ (boxedOps destroy deletes it), and a
-            // unique_ptr would not fit the type-erased inline buffer
-            ::new (static_cast<void *>(buf_))
-                (Fn *)(new Fn(std::forward<F>(f)));
-            ops_ = &boxedOps<Fn>;
-            clearTail(sizeof(Fn *));
-        }
+        emplace(std::forward<F>(f));
     }
 
     EventCallback(EventCallback &&other) noexcept { moveFrom(other); }
@@ -150,6 +151,8 @@ class EventCallback
     }
 
   private:
+    friend class Simulator;
+
     /**
      * Type-erased operations. A null relocate means the stored bytes may
      * simply be copied (a trivially copyable callable, or a box pointer);
@@ -189,6 +192,43 @@ class EventCallback
         nullptr,
         [](void *p) { delete *std::launder(reinterpret_cast<Fn **>(p)); },
     };
+
+    /**
+     * Build @p f in this (empty) holder. The converting constructor and
+     * Simulator::scheduleAt() both use it, so a callable handed to
+     * schedule() is constructed once, directly in its event slot, instead
+     * of being built here and moved in twice.
+     */
+    template <typename F>
+    void
+    emplace(F &&f)
+    {
+        using Fn = std::decay_t<F>;
+        static_assert(std::is_invocable_r_v<void, Fn &>,
+                      "an event callback is a void() callable");
+        SMARTDS_SIM_INVARIANT(ops_ == nullptr,
+                              "building a callback over a held one");
+        if constexpr (std::is_same_v<Fn, EventCallback>) {
+            static_assert(!std::is_lvalue_reference_v<F>,
+                          "an EventCallback is moved, never copied");
+            moveFrom(f);
+        } else if constexpr (sizeof(Fn) <= inlineCapacity &&
+                             alignof(Fn) <= alignof(std::max_align_t) &&
+                             std::is_nothrow_move_constructible_v<Fn>) {
+            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
+            ops_ = &inlineOps<Fn>;
+            if constexpr (trivialInline<Fn>)
+                clearTail(sizeof(Fn));
+        } else {
+            // simlint: allow(naked-new): the SBO fallback box; ownership
+            // is carried by ops_ (boxedOps destroy deletes it), and a
+            // unique_ptr would not fit the type-erased inline buffer
+            ::new (static_cast<void *>(buf_))
+                (Fn *)(new Fn(std::forward<F>(f)));
+            ops_ = &boxedOps<Fn>;
+            clearTail(sizeof(Fn *));
+        }
+    }
 
     /**
      * Zero the buffer past the first @p used bytes. A callable moved by
@@ -268,6 +308,16 @@ enum class EventTag : std::uint8_t
     Test,
 };
 
+/** Number of EventTag values. */
+inline constexpr std::size_t kEventTagCount =
+    static_cast<std::size_t>(EventTag::Test) + 1;
+
+/** Dispatches per stage tag, indexed by the tag's value. */
+using TagCounts = std::array<std::uint64_t, kEventTagCount>;
+
+/** Lower-case name of @p tag ("net", "maintenance", ...). */
+const char *eventTagName(EventTag tag);
+
 /**
  * One window of the determinism sanitizer's event stream: the rolling
  * state hash after @ref events dispatches covering simulated time
@@ -315,7 +365,11 @@ DsanDivergence compareDsanWindows(const std::vector<DsanWindow> &a,
 class Simulator
 {
   public:
-    Simulator() = default;
+    Simulator()
+    {
+        head_.fill(kNil);
+        tail_.fill(kNil);
+    }
     ~Simulator() = default;
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
@@ -327,16 +381,15 @@ class Simulator
     static constexpr Tick kNoPendingEvent = ~Tick{0};
 
     /**
-     * Tick of the earliest live pending event, or kNoPendingEvent when
-     * the queue holds none. Drops cancelled entries from the lane front
-     * and the heap top as a side effect (they carry no information).
+     * Tick of the earliest pending event, or kNoPendingEvent when the
+     * queue holds none. A peek: the queue's base stays where it is.
      */
     Tick
-    nextEventTick()
+    nextEventTick() const
     {
-        bool from_lane;
-        const HeapEntry *next = nextLive(from_lane);
-        return next ? next->when() : kNoPendingEvent;
+        if (head_[0] != kNil)
+            return base_;
+        return mask_ == 0 ? kNoPendingEvent : earliestIn(lowestBucket());
     }
 
     /**
@@ -350,50 +403,45 @@ class Simulator
     /** Assign the timing-domain index (called once, by ClusterSim). */
     void setDomainIndex(unsigned domain) { domain_ = domain; }
 
-    /** Schedule @p fn to run @p delay ticks from now. */
+    /**
+     * Schedule @p fn (any void() callable, or an EventCallback) to run
+     * @p delay ticks from now.
+     */
+    template <typename F>
     EventHandle
-    schedule(Tick delay, EventCallback fn, EventTag tag = EventTag::Generic)
+    schedule(Tick delay, F &&fn, EventTag tag = EventTag::Generic)
     {
-        return scheduleAt(now_ + delay, std::move(fn), tag);
+        return scheduleAt(now_ + delay, std::forward<F>(fn), tag);
     }
 
-    /** Schedule @p fn at absolute tick @p when (must be >= now). */
+    /**
+     * Schedule @p fn at absolute tick @p when (must be >= now). The
+     * callable is built directly in its event slot.
+     */
+    template <typename F>
     EventHandle
-    scheduleAt(Tick when, EventCallback fn,
-               EventTag tag = EventTag::Generic)
+    scheduleAt(Tick when, F &&fn, EventTag tag = EventTag::Generic)
     {
         SMARTDS_CHECK(when >= now_,
                        "scheduling into the past (when=%llu now=%llu)",
                        static_cast<unsigned long long>(when),
                        static_cast<unsigned long long>(now_));
-        std::uint32_t slot;
-        if (freeSlots_.empty()) {
-            // Grow the slab 4x at a time: Event records are non-trivial
-            // (they hold callbacks), so regrowth relocations are the one
-            // remaining per-event cost worth amortising aggressively.
-            if (pool_.size() == pool_.capacity())
-                pool_.reserve(pool_.empty() ? 256 : pool_.size() * 4);
-            slot = static_cast<std::uint32_t>(pool_.size());
-            pool_.emplace_back();
-        } else {
-            slot = freeSlots_.back();
-            freeSlots_.pop_back();
-        }
+        SMARTDS_SIM_INVARIANT(base_ <= now_,
+                              "queue base %llu ahead of now %llu",
+                              static_cast<unsigned long long>(base_),
+                              static_cast<unsigned long long>(now_));
+        if (freeSlots_.empty())
+            growSlab();
+        // Build first, claim after: a callable whose construction throws
+        // leaves the slot on the free list.
+        const std::uint32_t slot = freeSlots_.back();
         Event &event = pool_[slot];
-        event.fn = std::move(fn);
+        event.fn.emplace(std::forward<F>(fn));
+        freeSlots_.pop_back();
+        event.tick = when;
+        event.seq = nextSeq_++;
         event.tag = tag;
-        const HeapEntry entry{when, nextSeq_++, slot, event.gen};
-        // A same-tick event joins the FIFO lane: its seq is the largest
-        // handed out so far, so the lane stays sorted by key for free.
-        event.inLane = when == now_;
-        if (event.inLane) {
-            SMARTDS_SIM_INVARIANT(
-                lane_.empty() || lane_[lane_.size() - 1].seq < entry.seq,
-                "same-tick lane entry out of seq order");
-            lane_.push(entry);
-        } else {
-            heapPush(entry);
-        }
+        link(slot, bucketOf(when));
         return EventHandle(this, slot, event.gen);
     }
 
@@ -413,9 +461,14 @@ class Simulator
     std::uint64_t eventsExecuted() const { return executed_; }
 
     /**
+     * Events executed so far, per stage tag. One increment per dispatch,
+     * always on; never folded into the state hash.
+     */
+    const TagCounts &tagEventsExecuted() const { return tagEvents_; }
+
+    /**
      * Number of live pending events: scheduled, not yet fired and not
-     * cancelled. Cancelled entries still waiting in the queue are not
-     * counted.
+     * cancelled.
      */
     std::size_t
     pendingEvents() const
@@ -424,10 +477,19 @@ class Simulator
     }
 
     /**
-     * Entries in the event heap, cancelled ones included. Exposed so
-     * tests can bound what compaction leaves behind.
+     * Entries linked into the queue's buckets, counted by walking them
+     * (O(pending); for tests). A cancel unlinks its event at once, so
+     * this always equals pendingEvents().
      */
-    std::size_t heapEntries() const { return heap_.size(); }
+    std::size_t
+    heapEntries() const
+    {
+        std::size_t n = 0;
+        for (const std::uint32_t head : head_)
+            for (std::uint32_t s = head; s != kNil; s = pool_[s].next)
+                ++n;
+        return n;
+    }
 
     /**
      * Size of the event slab (high-water mark of simultaneously pending
@@ -484,41 +546,142 @@ class Simulator
   private:
     friend class EventHandle;
 
-    /** Pooled event record; `when`/`seq` live in the queue entry only. */
+    /** End-of-list / empty-bucket marker for slot links. */
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+    /** Bucket 0 plus one bucket per bit of a tick. */
+    static constexpr unsigned kBuckets = 65;
+
+    /**
+     * Pooled event record. A pending event is linked into its bucket
+     * through @ref prev / @ref next; a free slot's links are stale.
+     */
     struct Event
     {
         EventCallback fn;
+        Tick tick = 0;
+        std::uint64_t seq = 0;
         std::uint32_t gen = 0;
-        /** Stage tag for the determinism hash (fits existing padding). */
+        std::uint32_t prev = kNil;
+        std::uint32_t next = kNil;
+        /** Stage tag for the determinism hash and the tag counters. */
         EventTag tag = EventTag::Generic;
-        /** Queued in the same-tick lane rather than the heap. */
-        bool inLane = false;
     };
+
+    /** The bucket an event at @p when belongs in, given the base. */
+    unsigned
+    bucketOf(Tick when) const
+    {
+        return static_cast<unsigned>(std::bit_width(when ^ base_));
+    }
+
+    /** Mask bit of bucket @p b >= 1 (bucket 0 has none: see head_[0]). */
+    static std::uint64_t
+    maskBit(unsigned b)
+    {
+        return std::uint64_t{1} << (b - 1);
+    }
+
+    /** The lowest non-empty bucket above 0 (mask_ must be nonzero). */
+    unsigned
+    lowestBucket() const
+    {
+        return static_cast<unsigned>(std::countr_zero(mask_)) + 1;
+    }
+
+    /** Earliest tick in the (non-empty) bucket @p b. */
+    Tick
+    earliestIn(unsigned b) const
+    {
+        Tick earliest = kNoPendingEvent;
+        for (std::uint32_t s = head_[b]; s != kNil; s = pool_[s].next)
+            earliest = std::min(earliest, pool_[s].tick);
+        return earliest;
+    }
+
+    /** Append @p slot to bucket @p b (its seq is the bucket's largest). */
+    void
+    link(std::uint32_t slot, unsigned b)
+    {
+        Event &event = pool_[slot];
+        const std::uint32_t tail = tail_[b];
+        SMARTDS_SIM_INVARIANT(tail == kNil || pool_[tail].seq < event.seq,
+                              "bucket %u would fall out of seq order", b);
+        event.prev = tail;
+        event.next = kNil;
+        if (tail == kNil) {
+            head_[b] = slot;
+            if (b != 0)
+                mask_ |= maskBit(b);
+        } else {
+            pool_[tail].next = slot;
+        }
+        tail_[b] = slot;
+    }
+
+    /** Remove @p slot from its bucket @p b. */
+    void
+    unlink(std::uint32_t slot, unsigned b)
+    {
+        const Event &event = pool_[slot];
+        if (event.prev == kNil)
+            head_[b] = event.next;
+        else
+            pool_[event.prev].next = event.next;
+        if (event.next == kNil)
+            tail_[b] = event.prev;
+        else
+            pool_[event.next].prev = event.prev;
+        if (b != 0 && head_[b] == kNil)
+            mask_ &= ~maskBit(b);
+    }
 
     /**
-     * 24-byte plain queue record (heap and lane). Ordering compares the
-     * (when, seq) pair as one 128-bit integer: a single branchless compare.
+     * Move the base to the earliest pending tick and re-bucket the
+     * lowest bucket around it, so bucket 0 holds that tick's events.
+     * Leaves the queue untouched, and returns false, when nothing is
+     * pending at or before @p limit.
      */
-    struct HeapEntry
+    bool
+    advanceBase(Tick limit)
     {
-        Tick tick;
-        std::uint64_t seq;
-        std::uint32_t slot;
-        std::uint32_t gen;
-
-        Tick when() const { return tick; }
-
-        unsigned __int128
-        key() const
-        {
-            return (static_cast<unsigned __int128>(tick) << 64) | seq;
+        if (mask_ == 0)
+            return false;
+        const unsigned b = lowestBucket();
+        const Tick earliest = earliestIn(b);
+        if (earliest > limit)
+            return false;
+        base_ = earliest;
+        std::uint32_t s = head_[b];
+        head_[b] = tail_[b] = kNil;
+        mask_ &= ~maskBit(b);
+        // In list (= seq) order, into buckets below b that are all empty,
+        // so every bucket stays sorted by seq.
+        while (s != kNil) {
+            const std::uint32_t next = pool_[s].next;
+            link(s, bucketOf(pool_[s].tick));
+            s = next;
         }
-    };
+        return true;
+    }
 
     bool
     live(std::uint32_t slot, std::uint32_t gen) const
     {
         return slot < pool_.size() && pool_[slot].gen == gen;
+    }
+
+    /** Add one free slot to the slab. */
+    void
+    growSlab()
+    {
+        // Grow the slab 4x at a time: Event records are non-trivial (they
+        // hold callbacks), so regrowth relocations are the one remaining
+        // per-event cost worth amortising aggressively.
+        if (pool_.size() == pool_.capacity())
+            pool_.reserve(pool_.empty() ? 256 : pool_.size() * 4);
+        freeSlots_.push_back(static_cast<std::uint32_t>(pool_.size()));
+        pool_.emplace_back();
     }
 
     /** Retire a slot: drop the callback, invalidate handles, recycle. */
@@ -537,195 +700,109 @@ class Simulator
             freeSlots_.size(), pool_.size());
     }
 
-    /** Cancel a live event (EventHandle::cancel). */
+    /** Cancel a live event (EventHandle::cancel): unlink it at once. */
     void
     cancelEvent(std::uint32_t slot)
     {
-        const bool in_heap = !pool_[slot].inLane;
-        releaseSlot(slot); // the queue entry is dropped lazily...
-        // ...unless cancelled heap entries now outnumber live ones.
-        if (in_heap && ++cancelledInHeap_ * 2 > heap_.size())
-            compactHeap();
+        unlink(slot, bucketOf(pool_[slot].tick));
+        releaseSlot(slot);
     }
 
     /**
-     * The next live queue entry: the smaller key of the lane front and
-     * the heap top, after dropping cancelled entries from both. Null when
-     * nothing live is pending; @p from_lane says which queue it heads.
-     */
-    const HeapEntry *
-    nextLive(bool &from_lane)
-    {
-        while (true) {
-            from_lane = !lane_.empty() &&
-                        (heap_.empty() ||
-                         lane_.front().key() < heap_.front().key());
-            if (!from_lane && heap_.empty())
-                return nullptr;
-            const HeapEntry &next = from_lane ? lane_.front() : heap_.front();
-            if (pool_[next.slot].gen == next.gen)
-                return &next;
-            // Cancelled; the slot was already recycled.
-            if (from_lane) {
-                lane_.pop();
-            } else {
-                heapPop();
-                --cancelledInHeap_;
-            }
-        }
-    }
-
-    /**
-     * Dispatch the next live event if its tick is <= @p limit.
+     * Dispatch the next pending event if its tick is <= @p limit.
      * @return whether an event ran.
      */
     bool
     dispatchUpTo(Tick limit)
     {
-        bool from_lane;
-        const HeapEntry *next = nextLive(from_lane);
-        if (!next || next->when() > limit)
-            return false;
-        const HeapEntry top = *next;
-        if (from_lane) {
-            lane_.pop();
-        } else {
-            heapPop();
-            // Time only moves on once the lane has drained, so every lane
-            // entry is always at now().
-            SMARTDS_SIM_INVARIANT(top.when() == now_ || lane_.empty(),
-                                  "clock advancing past a non-empty "
-                                  "same-tick lane at tick %llu",
-                                  static_cast<unsigned long long>(now_));
+        if (head_[0] == kNil) {
+            if (!advanceBase(limit))
+                return false;
+        } else if (base_ > limit) {
+            return false; // a deadline already in the past
         }
-        SMARTDS_SIM_INVARIANT(
-            top.key() >= lastPoppedKey_,
-            "event dispatched out of (tick, seq) order at tick %llu",
-            static_cast<unsigned long long>(top.when()));
+        const std::uint32_t slot = head_[0];
+        Event &event = pool_[slot];
+        head_[0] = event.next;
+        if (event.next == kNil)
+            tail_[0] = kNil;
+        else
+            pool_[event.next].prev = kNil;
 #if SMARTDS_CHECKED_BUILD
-        lastPoppedKey_ = top.key();
-        if ((++popCount_ & 0xfffu) == 0) {
-            verifyHeapOrdering();
-            verifyLane();
-        }
+        const unsigned __int128 key =
+            (static_cast<unsigned __int128>(event.tick) << 64) | event.seq;
+        SMARTDS_SIM_INVARIANT(
+            key >= lastPoppedKey_,
+            "event dispatched out of (tick, seq) order at tick %llu",
+            static_cast<unsigned long long>(event.tick));
+        lastPoppedKey_ = key;
 #endif
-        now_ = top.when();
-        Event &event = pool_[top.slot];
+        now_ = base_;
         // Fold (tick, seq, stage tag) into the determinism hash before the
         // slot is recycled (recycling does not clear the tag, but the
         // callback below may overwrite it).
         if (hashOn_)
-            foldEvent(top.when(), top.seq, event.tag);
+            foldEvent(event.tick, event.seq, event.tag);
+        ++tagEvents_[static_cast<std::size_t>(event.tag)];
         // Move the callback out and recycle the slot *before* invoking, so
         // the callback may schedule freely (including reusing this very
         // slot) without invalidating anything we still touch.
         EventCallback fn = std::move(event.fn);
-        releaseSlot(top.slot);
+        releaseSlot(slot);
+#if SMARTDS_CHECKED_BUILD
+        if ((++popCount_ & 0xfffu) == 0)
+            verifyQueue();
+#endif
         ++executed_;
         fn();
         return true;
     }
 
-    /** Drop every cancelled heap entry and rebuild the heap (Floyd). */
-    void
-    compactHeap()
-    {
-        std::erase_if(heap_, [this](const HeapEntry &e) {
-            return pool_[e.slot].gen != e.gen;
-        });
-        cancelledInHeap_ = 0;
-        // Sift down every parent, the last one ((n - 2) / 4) first.
-        const std::size_t n = heap_.size();
-        for (std::size_t i = n < 2 ? 0 : (n - 2) / 4 + 1; i-- > 0;)
-            siftDown(i, heap_[i]);
-    }
-
-    void
-    heapPush(HeapEntry e)
-    {
-        // Hole-based sift-up: shift larger parents down, place once.
-        heap_.push_back(e); // reserve the space (value overwritten below)
-        HeapEntry *const h = heap_.data();
-        std::size_t i = heap_.size() - 1;
-        while (i > 0) {
-            const std::size_t parent = (i - 1) / 4;
-            if (h[parent].key() <= e.key())
-                break;
-            h[i] = h[parent];
-            i = parent;
-        }
-        h[i] = e;
-    }
-
-    void
-    heapPop()
-    {
-        SMARTDS_SIM_INVARIANT(!heap_.empty(), "popping an empty event heap");
-        SMARTDS_SIM_INVARIANT(
-            heap_.front().slot < pool_.size(),
-            "heap entry names slot %u beyond the %zu-slot pool",
-            heap_.front().slot, pool_.size());
-        const HeapEntry last = heap_.back();
-        heap_.pop_back();
-        if (!heap_.empty())
-            siftDown(0, last);
-    }
-
+#if SMARTDS_CHECKED_BUILD
     /**
-     * Hole-based sift-down of @p e from index @p i: pull the smallest
-     * child up until @p e fits, then place it once.
+     * Full O(n) validation of the radix queue: every event sits in the
+     * bucket its tick belongs in (bucket 0: at the base), each bucket is
+     * in rising seq order with consistent links and mask bit, the base
+     * is not ahead of now(), and the lists hold exactly the live events.
      */
     void
-    siftDown(std::size_t i, const HeapEntry e)
+    verifyQueue() const
     {
-        const std::size_t n = heap_.size();
-        HeapEntry *const h = heap_.data();
-        while (true) {
-            const std::size_t first = 4 * i + 1;
-            if (first >= n)
-                break;
-            std::size_t best = first;
-            const std::size_t end = std::min(first + 4, n);
-            for (std::size_t c = first + 1; c < end; ++c) {
-                if (h[c].key() < h[best].key())
-                    best = c;
-            }
-            if (h[best].key() >= e.key())
-                break;
-            h[i] = h[best];
-            i = best;
-        }
-        h[i] = e;
-    }
-
-#if SMARTDS_CHECKED_BUILD
-    /** Full O(n) validation of the 4-ary heap property. */
-    void
-    verifyHeapOrdering() const
-    {
-        for (std::size_t i = 1; i < heap_.size(); ++i)
+        SMARTDS_SIM_INVARIANT(base_ <= now_,
+                              "queue base %llu ahead of now %llu",
+                              static_cast<unsigned long long>(base_),
+                              static_cast<unsigned long long>(now_));
+        std::size_t linked = 0;
+        for (unsigned b = 0; b < kBuckets; ++b) {
             SMARTDS_SIM_INVARIANT(
-                heap_[(i - 1) / 4].key() <= heap_[i].key(),
-                "heap property violated between index %zu and its parent",
-                i);
-        SMARTDS_SIM_INVARIANT(cancelledInHeap_ <= heap_.size(),
-                              "%zu cancelled entries in a %zu-entry heap",
-                              cancelledInHeap_, heap_.size());
-    }
-
-    /** Full O(n) validation: lane entries sit at now() in rising seq. */
-    void
-    verifyLane() const
-    {
-        for (std::size_t i = 0; i < lane_.size(); ++i) {
-            SMARTDS_SIM_INVARIANT(lane_[i].when() == now_,
-                                  "lane entry %zu at tick %llu, now %llu", i,
-                                  static_cast<unsigned long long>(
-                                      lane_[i].when()),
-                                  static_cast<unsigned long long>(now_));
-            SMARTDS_SIM_INVARIANT(i == 0 || lane_[i - 1].seq < lane_[i].seq,
-                                  "lane entry %zu out of seq order", i);
+                b == 0 || ((mask_ & maskBit(b)) != 0) == (head_[b] != kNil),
+                "bucket %u's mask bit disagrees with its list", b);
+            std::uint32_t prev = kNil;
+            for (std::uint32_t s = head_[b]; s != kNil;
+                 prev = s, s = pool_[s].next) {
+                const Event &event = pool_[s];
+                SMARTDS_SIM_INVARIANT(
+                    ++linked <= pendingEvents(),
+                    "bucket lists hold more than the %zu pending events",
+                    pendingEvents());
+                SMARTDS_SIM_INVARIANT(event.prev == prev,
+                                      "broken back link in bucket %u", b);
+                SMARTDS_SIM_INVARIANT(
+                    bucketOf(event.tick) == b,
+                    "event at tick %llu in bucket %u, belongs in %u",
+                    static_cast<unsigned long long>(event.tick), b,
+                    bucketOf(event.tick));
+                SMARTDS_SIM_INVARIANT(prev == kNil ||
+                                          pool_[prev].seq < event.seq,
+                                      "bucket %u out of seq order", b);
+            }
+            SMARTDS_SIM_INVARIANT(tail_[b] == prev,
+                                  "bucket %u's tail is not its last event",
+                                  b);
         }
+        SMARTDS_SIM_INVARIANT(linked == pendingEvents(),
+                              "%zu events linked, %zu pending", linked,
+                              pendingEvents());
     }
 #endif
 
@@ -736,16 +813,19 @@ class Simulator
     void flushWindow();
 
     Tick now_ = 0;
+    /** Radix base: the last dispatched tick; never ahead of now_. */
+    Tick base_ = 0;
     unsigned domain_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
     std::vector<Event> pool_;
     std::vector<std::uint32_t> freeSlots_;
-    std::vector<HeapEntry> heap_;
-    /** Heap entries whose event was cancelled (dropped at pop/compaction). */
-    std::size_t cancelledInHeap_ = 0;
-    /** Same-tick lane: entries at now(), in rising seq order. */
-    Ring<HeapEntry> lane_;
+    /** First and last slot of each bucket's list (kNil when empty). */
+    std::array<std::uint32_t, kBuckets> head_;
+    std::array<std::uint32_t, kBuckets> tail_;
+    /** Bit b-1 set iff bucket b >= 1 is non-empty. */
+    std::uint64_t mask_ = 0;
+    TagCounts tagEvents_{};
     bool hashOn_ = SMARTDS_CHECKED_BUILD != 0;
     std::uint32_t stateHash_ = kStateHashSeed;
     std::uint32_t windowEvents_ = 0; ///< 0 = window recording off

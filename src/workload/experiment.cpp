@@ -538,6 +538,8 @@ runWriteExperiment(const ExperimentConfig &config)
     for (unsigned d = 0; d < n_domains; ++d)
         result.domainEvents.push_back(cluster.domainEventsExecuted(d));
     result.crossChannelEvents = cluster.crossEventsPosted();
+    result.tagEvents = cluster.tagEventsExecuted();
+    result.pdesRounds = cluster.roundsExecuted();
 
     // Stop the clients so the event queue can drain promptly.
     for (auto &c : clients)

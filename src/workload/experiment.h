@@ -23,6 +23,7 @@
 #include "common/units.h"
 #include "mem/mlc_injector.h"
 #include "middletier/server_base.h"
+#include "sim/simulator.h"
 #include "trace/trace.h"
 
 namespace smartds::workload {
@@ -389,6 +390,12 @@ struct ExperimentResult
 
     /** Events that crossed a domain boundary (merge-channel traffic). */
     std::uint64_t crossChannelEvents = 0;
+
+    /** Events executed per stage tag (all domains), indexed by tag. */
+    sim::TagCounts tagEvents{};
+
+    /** PDES synchronization rounds (0 for a single-domain run). */
+    std::uint64_t pdesRounds = 0;
 };
 
 /** Run one write-serving experiment. */

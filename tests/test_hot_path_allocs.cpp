@@ -3,8 +3,10 @@
  * Zero-allocation regression tests for the simulator's hot path. A
  * counting global operator new (this binary only) checks that, once warm,
  * each per-event primitive allocates nothing: a zero-delay schedule and
- * dispatch, a BandwidthServer transfer, a FairShareResource flow transfer,
- * a 4 KiB DmaEngine read and write, and a Port::send to receive hop.
+ * dispatch, a cancelled far-future timer, a BandwidthServer transfer, a
+ * FairShareResource flow transfer, a 4 KiB DmaEngine read and write, a
+ * Port::send to receive hop, a Completion awaited by a Process, a
+ * CountLatch join, and a spawned Process run to completion.
  * Figure sweeps run hundreds of millions of these, so an allocation that
  * creeps back into one shows up here rather than as a slower benchmark.
  */
@@ -20,6 +22,7 @@
 #include "pcie/pcie.h"
 #include "sim/bandwidth_server.h"
 #include "sim/fair_share.h"
+#include "sim/process.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -87,6 +90,27 @@ TEST(HotPathAllocs, ZeroDelayScheduleAndDispatch)
     round(); // warm-up: grows the event slab, free list and lane
     EXPECT_EQ(allocationsDuring(round), 0u);
     EXPECT_EQ(fired, 128);
+}
+
+TEST(HotPathAllocs, CancelledFarFutureTimer)
+{
+    sim::Simulator sim;
+    bool no_dead_entries = true;
+    // A replica-ack timeout armed far ahead and cancelled before the
+    // nearer event it guards fires: the cancel unlinks it at once.
+    auto round = [&]() {
+        for (int i = 0; i < 32; ++i) {
+            sim::EventHandle timer = sim.schedule(800_us, []() {});
+            sim.schedule(1_ns, []() {});
+            timer.cancel();
+            no_dead_entries &= sim.heapEntries() == sim.pendingEvents();
+        }
+        sim.run();
+    };
+    round();
+    EXPECT_EQ(allocationsDuring(round), 0u);
+    EXPECT_TRUE(no_dead_entries);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
 }
 
 TEST(HotPathAllocs, BandwidthServerTransfer)
@@ -167,6 +191,77 @@ TEST(HotPathAllocs, PortSendToReceive)
     round(); // warm-up: grows the port and delay-line rings
     EXPECT_EQ(allocationsDuring(round), 0u);
     EXPECT_EQ(received, 32);
+}
+
+sim::Process
+awaitCompletion(sim::Completion done, std::uint64_t &sum)
+{
+    sum += co_await done;
+}
+
+TEST(HotPathAllocs, CompletionAwaitedByAProcess)
+{
+    sim::Simulator sim;
+    std::uint64_t sum = 0;
+    // A Completion copied into a producer's callback and awaited by a
+    // process: its state and the process frame come from the pools.
+    auto round = [&]() {
+        for (int i = 0; i < 16; ++i) {
+            sim::Completion done(sim);
+            sim::spawn(sim, awaitCompletion(done, sum));
+            sim.schedule(10_ns, [done]() mutable { done.complete(1); });
+        }
+        sim.run();
+    };
+    round(); // warm-up: fills the block pool and the event slab
+    EXPECT_EQ(allocationsDuring(round), 0u);
+    EXPECT_EQ(sum, 32u);
+}
+
+sim::Process
+joinLatch(sim::CountLatch &latch, int &joined)
+{
+    co_await latch.wait();
+    ++joined;
+}
+
+TEST(HotPathAllocs, CountLatchJoin)
+{
+    sim::Simulator sim;
+    int joined = 0;
+    // "Wait for all three replica acks": three arrivals, one waiter.
+    auto round = [&]() {
+        sim::CountLatch latch(sim, 3);
+        sim::spawn(sim, joinLatch(latch, joined));
+        for (int i = 1; i <= 3; ++i)
+            sim.schedule(i * 1_ns, [&latch]() { latch.arrive(); });
+        sim.run();
+    };
+    round();
+    EXPECT_EQ(allocationsDuring(round), 0u);
+    EXPECT_EQ(joined, 2);
+}
+
+sim::Process
+sleepTwice(sim::Simulator &sim, int &finished)
+{
+    co_await sim::delay(sim, 5_ns);
+    co_await sim::delay(sim, 1_ns);
+    ++finished;
+}
+
+TEST(HotPathAllocs, SpawnedProcessRunsToCompletion)
+{
+    sim::Simulator sim;
+    int finished = 0;
+    auto round = [&]() {
+        for (int i = 0; i < 16; ++i)
+            sim::spawn(sim, sleepTwice(sim, finished));
+        sim.run();
+    };
+    round(); // warm-up: the frames return to the pool as they finish
+    EXPECT_EQ(allocationsDuring(round), 0u);
+    EXPECT_EQ(finished, 32);
 }
 
 } // namespace

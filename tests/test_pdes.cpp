@@ -178,6 +178,8 @@ expectIdenticalResults(const workload::ExperimentResult &a,
     EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
     EXPECT_EQ(a.domainEvents, b.domainEvents);
     EXPECT_EQ(a.crossChannelEvents, b.crossChannelEvents);
+    EXPECT_EQ(a.tagEvents, b.tagEvents);
+    EXPECT_EQ(a.pdesRounds, b.pdesRounds);
 
     ASSERT_NE(a.stateHash, 0u);
     EXPECT_EQ(a.stateHash, b.stateHash);
@@ -201,6 +203,12 @@ TEST(PdesExperiment, Fig07SmokeIsShardCountInvariant)
 
     EXPECT_EQ(serial.timingDomains, 4u);
     EXPECT_GT(serial.crossChannelEvents, 0u);
+    EXPECT_GT(serial.pdesRounds, 0u);
+    // The per-tag counts partition the dispatched events.
+    std::uint64_t tagged = 0;
+    for (const std::uint64_t n : serial.tagEvents)
+        tagged += n;
+    EXPECT_EQ(tagged, serial.eventsExecuted);
     expectIdenticalResults(serial, sharded);
 }
 

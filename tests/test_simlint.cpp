@@ -260,6 +260,31 @@ TEST(SimlintFixtures, SharedSimStateNeedsAReachableRoot)
                     .empty());
 }
 
+TEST(SimlintFixtures, SharedSimStateSkipsOperatorNewAndDelete)
+{
+    // Operator new/delete defined in an entry directory (a pooled
+    // coroutine promise) and a counting global operator new in a test
+    // share the token before '(', but are not functions named `new`: the
+    // call graph must not link them, so the counter's newCalls (line 7)
+    // stays silent. framesSeen (line 9) is a real mutable global reached
+    // from src/sim through stepFrames() -> noteFrame(), and still fires.
+    Config config;
+    std::string error;
+    ASSERT_TRUE(parseRulesConfig(
+        "[rules.mutable-global]\nseverity = \"off\"\n", config, error))
+        << error;
+    EXPECT_EQ(
+        triples(simlint::lint(
+            {loadFixtureAs("shared_sim_state_operator_sim.cpp",
+                           "src/sim/frame_pool.cpp"),
+             loadFixtureAs("shared_sim_state_operator_counter.cpp",
+                           "tests/alloc_counter.cpp")},
+            config)),
+        (std::vector<Triple>{
+            {"tests/alloc_counter.cpp", 9, "shared-sim-state"},
+        }));
+}
+
 TEST(SimlintFixtures, PtrKeyedContainer)
 {
     // Lines 15-17: map/set/unordered_map keyed by pointer. The explicit

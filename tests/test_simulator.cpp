@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <set>
 #include <utility>
 #include <vector>
@@ -203,10 +204,10 @@ TEST(Simulator, CancelledSlotReusePreservesSameTickFifo)
     EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 4, 6, 7, 8, 9, 10, 11}));
 }
 
-TEST(Simulator, CompactionOfAnAllCancelledHeap)
+TEST(Simulator, CancellingEveryEventEmptiesTheQueue)
 {
-    // Cancelling every heap entry compacts the heap down to nothing; the
-    // kernel must then carry on with an empty heap.
+    // A cancel unlinks its event at once; once every event is cancelled
+    // the queue holds nothing, and the kernel carries on from there.
     Simulator sim;
     std::vector<EventHandle> timers;
     for (int i = 0; i < 5; ++i)
@@ -237,12 +238,54 @@ TEST(Simulator, PendingEventsCountsLiveEventsOnly)
     EXPECT_EQ(sim.nextEventTick(), Simulator::kNoPendingEvent);
 }
 
+TEST(Simulator, PeekDoesNotMoveTheQueueBase)
+{
+    // The channel-drain shape: a runUntil() that stops at its deadline
+    // and a peek at the next tick, then schedules below that tick. They
+    // must still fire first, in tick order.
+    Simulator sim;
+    std::vector<Tick> fired;
+    auto record = [&]() { fired.push_back(sim.now()); };
+    sim.schedule(1_ns, record);
+    sim.schedule(1_us, record);
+    sim.runUntil(10_ns);
+    EXPECT_EQ(sim.nextEventTick(), 1_us);
+    sim.schedule(0, record);      // at the deadline, 10 ns
+    sim.schedule(500_ns, record); // below the peeked tick
+    sim.scheduleAt(1_us - 1, record);
+    sim.run();
+    EXPECT_EQ(fired, (std::vector<Tick>{1_ns, 10_ns, 510_ns, 1_us - 1,
+                                        1_us}));
+}
+
+TEST(Simulator, TagCountersCountDispatchesPerTag)
+{
+    Simulator sim;
+    sim.schedule(1_ns, []() {}, EventTag::Net);
+    sim.schedule(2_ns, []() {}, EventTag::Net);
+    sim.schedule(0, []() {}, EventTag::Host);
+    sim.schedule(3_ns, []() {});
+    EventHandle cancelled = sim.schedule(4_ns, []() {}, EventTag::Net);
+    EXPECT_TRUE(cancelled.cancel());
+    sim.run();
+    TagCounts expected{};
+    expected[static_cast<std::size_t>(EventTag::Generic)] = 1;
+    expected[static_cast<std::size_t>(EventTag::Net)] = 2;
+    expected[static_cast<std::size_t>(EventTag::Host)] = 1;
+    EXPECT_EQ(sim.tagEventsExecuted(), expected);
+    EXPECT_EQ(sim.eventsExecuted(), 4u);
+    EXPECT_STREQ(eventTagName(EventTag::Maintenance), "maintenance");
+}
+
 /**
  * Differential test of the kernel against a std::set<(tick, seq)>
  * reference model. Random schedules (a third of them zero-delay, most
- * issued from inside callbacks), cancels of same-tick-lane and heap
- * entries, bursts of cancelled timers that force heap compaction, and
- * runUntil() deadlines must all dispatch exactly in model order.
+ * issued from inside callbacks), cancels of same-tick and later entries,
+ * bursts of cancelled timers, runUntil() deadlines, ticks straddling
+ * 2^k boundaries, events milliseconds to seconds ahead, a runUntil()
+ * that stops short of the next event followed by schedules below the
+ * tick peeked at (the shape of PDES channel drains), and cancels of the
+ * current minimum must all dispatch exactly in model order.
  */
 TEST(Simulator, DispatchOrderMatchesReferenceModel)
 {
@@ -252,6 +295,7 @@ TEST(Simulator, DispatchOrderMatchesReferenceModel)
         Rng rng(seed);
         std::set<Key> model; // pending (tick, schedule order)
         std::vector<std::pair<EventHandle, Key>> handles;
+        std::map<Key, EventHandle> handleOf;
         std::uint64_t next_id = 0;
         std::uint64_t fired = 0;
         std::uint64_t mismatches = 0;
@@ -277,8 +321,11 @@ TEST(Simulator, DispatchOrderMatchesReferenceModel)
                 }
             });
             handles.emplace_back(h, key);
+            handleOf[key] = h;
             return h;
         };
+        // Schedule at an absolute tick, through the same bookkeeping.
+        auto add_at = [&](Tick when) { return add(when - sim.now()); };
         auto cancel_random = [&]() {
             auto &[h, key] = handles[rng.below(handles.size())];
             const bool was_pending = model.erase(key) == 1;
@@ -289,7 +336,7 @@ TEST(Simulator, DispatchOrderMatchesReferenceModel)
         for (int i = 0; i < 20; ++i)
             add(rng.below(100) * 1_ns);
         while (next_id < kBudget) {
-            switch (rng.below(4)) {
+            switch (rng.below(8)) {
               case 0: {
                 const Tick deadline = sim.now() + rng.below(300) * 1_ns;
                 sim.runUntil(deadline);
@@ -303,8 +350,8 @@ TEST(Simulator, DispatchOrderMatchesReferenceModel)
                 break;
               case 2:
                 // A burst of long timers, nearly all cancelled: the shape
-                // of replica-ack timeouts. Right after a heap cancel, the
-                // cancelled entries never outnumber the live ones.
+                // of replica-ack timeouts. A cancel leaves nothing behind
+                // in the queue.
                 for (int i = 0; i < 64; ++i)
                     add(2_us + rng.below(1000) * 1_ns);
                 for (int i = 0; i < 60; ++i)
@@ -314,7 +361,47 @@ TEST(Simulator, DispatchOrderMatchesReferenceModel)
                     EXPECT_TRUE(add(3_us).cancel());
                     model.erase(timer_key);
                 }
-                EXPECT_LE(sim.heapEntries(), 2 * sim.pendingEvents());
+                EXPECT_EQ(sim.heapEntries(), sim.pendingEvents());
+                break;
+              case 4: {
+                // Ticks on both sides of a 2^k boundary, where the bucket
+                // an event lands in changes.
+                const unsigned k = 1 + static_cast<unsigned>(rng.below(40));
+                const Tick edge = ((sim.now() >> k) + 1) << k;
+                for (const Tick when : {edge - 1, edge, edge + 1, edge - 1})
+                    add_at(when);
+                break;
+              }
+              case 5:
+                // Milliseconds to seconds ahead: high buckets that are
+                // re-bucketed many times before they fire.
+                add(1_ms * (1 + rng.below(999)));
+                add(1_s * (1 + rng.below(3)) + rng.below(1000) * 1_ns);
+                break;
+              case 6: {
+                // A runUntil() that stops short of the next event, then
+                // schedules below the tick peeked at, as ClusterSim does
+                // when it drains channel events into a domain.
+                const Tick peeked = sim.nextEventTick();
+                if (model.empty() || peeked <= sim.now())
+                    break;
+                const Tick deadline =
+                    sim.now() + rng.below(peeked - sim.now());
+                sim.runUntil(deadline);
+                EXPECT_EQ(sim.now(), deadline);
+                EXPECT_EQ(sim.nextEventTick(), peeked);
+                add(0);
+                for (int i = 0; i < 3; ++i)
+                    add(rng.below(peeked - sim.now()));
+                break;
+              }
+              case 7:
+                // Cancel the current minimum, up to three times running.
+                for (int i = 0; i < 3 && !model.empty(); ++i) {
+                    const Key first = *model.begin();
+                    EXPECT_TRUE(handleOf[first].cancel());
+                    model.erase(first);
+                }
                 break;
               default:
                 if (!sim.step())

@@ -155,7 +155,11 @@ scanFile(const FileUnit &unit)
                 scope.kind = 'o'; // inner block or brace initializer
             } else {
                 // A `{` at namespace/class scope whose statement carries
-                // a top-level `name(...)` is a function definition.
+                // a top-level `name(...)` is a function definition. An
+                // operator is not a function by that name: `operator()`
+                // has no name token, and in `operator new(` / `operator
+                // bool(` the token before '(' names the operator, which
+                // would merge every such definition in the call graph.
                 std::size_t open = std::string::npos;
                 int pd = 0;
                 for (std::size_t j = stmtStart; j < i; ++j) {
@@ -170,7 +174,8 @@ scanFile(const FileUnit &unit)
                 if (open != std::string::npos && open > stmtStart &&
                     t[open - 1].ident() &&
                     !controlKeywords().count(t[open - 1].text) &&
-                    !t[open - 1].is("operator")) {
+                    !t[open - 1].is("operator") &&
+                    !(open - 1 > stmtStart && t[open - 2].is("operator"))) {
                     RawFunction fn;
                     fn.def.name = t[open - 1].text;
                     fn.def.file = unit.path;
