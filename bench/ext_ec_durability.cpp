@@ -132,6 +132,7 @@ main(int argc, char **argv)
     runner.run();
     harness.noteSweep(runner);
     harness.exportTraces(runner);
+    harness.verifyDsan(runner);
 
     Table churn("Durability policy vs crash churn (2 ms outages)");
     churn.header({"policy", "crash-ivl(us)", "tput(Gbps)", "p99(us)",

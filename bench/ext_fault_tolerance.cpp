@@ -85,6 +85,7 @@ main(int argc, char **argv)
     runner.run();
     harness.noteSweep(runner);
     harness.exportTraces(runner);
+    harness.verifyDsan(runner);
 
     Table crash("Crash rate vs goodput and tails");
     crash.header({"design", "crash-ivl(us)", "crashes", "tput(Gbps)",

@@ -53,6 +53,7 @@ main(int argc, char **argv)
     runner.run();
     harness.noteSweep(runner);
     harness.exportTraces(runner);
+    harness.verifyDsan(runner);
 
     Table table("Read/write mixes (saturating load)");
     table.header({"design", "reads", "completed/s (K)", "avg(us)",

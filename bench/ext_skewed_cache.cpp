@@ -82,6 +82,7 @@ main(int argc, char **argv)
     runner.run();
     harness.noteSweep(runner);
     harness.exportTraces(runner);
+    harness.verifyDsan(runner);
 
     Table table("Zipf theta x cache capacity (70% reads)");
     table.header({"design", "theta", "cache(MiB)", "hit%", "p99(us)",
