@@ -1,14 +1,8 @@
 #include "middletier/accelerator_server.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
-#include "common/checksum.h"
-#include "common/logging.h"
-#include "corpus/block_cache.h"
-#include "lz4/lz4.h"
-#include "middletier/protocol.h"
 #include "sim/awaitables.h"
 
 namespace smartds::middletier {
@@ -23,11 +17,9 @@ AcceleratorServer::AcceleratorServer(net::Fabric &fabric,
 AcceleratorServer::AcceleratorServer(net::Fabric &fabric,
                                      mem::MemorySystem &memory,
                                      ServerConfig config, AccConfig acc)
-    : sim_(fabric.simulator()), fabric_(fabric), memory_(memory),
-      config_(std::move(config)), acc_(acc),
+    : PerRequestServer(fabric, std::move(config)), memory_(memory), acc_(acc),
       nic_(std::make_unique<nic::RdmaNic>(fabric, "acc.nic", &memory)),
-      cores_(sim_, "acc.cores", config_.cores),
-      rng_(config_.seed)
+      cores_(sim_, "acc.cores", config_.cores)
 {
     fpgaPcie_ = std::make_unique<pcie::PcieLink>(sim_, "acc.fpga-pcie");
     pcie::DmaEngine::Config fpga_dma;
@@ -46,8 +38,8 @@ AcceleratorServer::AcceleratorServer(net::Fabric &fabric,
     txRead_ = memory.createFlow("acc.tx-read");
 
     nic_->setRxDmaOptions({rxWrite_, false});
-    nic_->onHostReceive([this](net::Message msg) { dispatch(std::move(msg)); });
-    initFailover(config_);
+    nic_->onHostReceive(
+        [this](net::Message msg) { dispatch(0, std::move(msg)); });
 }
 
 net::NodeId
@@ -81,90 +73,22 @@ AcceleratorServer::addUsageProbes(UsageProbes &probes)
     addFailoverProbes(probes);
 }
 
-void
-AcceleratorServer::dispatch(net::Message msg)
+sim::Task
+AcceleratorServer::parse(const net::Message &req)
 {
-    switch (msg.kind) {
-      case net::MessageKind::WriteRequest:
-        sim::spawn(sim_, serveWrite(std::move(msg)));
-        break;
-      case net::MessageKind::WriteReplicaAck:
-        deliverAck(msg.tag, msg.src);
-        break;
-      case net::MessageKind::ReadRequest:
-        if (config_.policy == ReplicationPolicy::ErasureCode)
-            sim::spawn(sim_, serveReadEc(std::move(msg)));
-        else
-            sim::spawn(sim_, serveRead(std::move(msg)));
-        break;
-      case net::MessageKind::ReadFetchReply:
-        deliverFetch(std::move(msg));
-        break;
-      default:
-        panic("Acc server: unexpected message kind %u",
-              static_cast<unsigned>(msg.kind));
-    }
+    // The host still fronts every request; the card only transforms.
+    return parseOn(cores_, calibration::hostHeaderParseCost, req);
 }
 
-sim::Process
-AcceleratorServer::serveWrite(net::Message msg)
+sim::Task
+AcceleratorServer::compress(WriteJob &w)
 {
-    const Bytes payload = msg.payload.size;
-
-    // Write-through coherence: the cached copy goes stale the moment the
-    // write is accepted, before any concurrent read can hit it.
-    if (cacheInvalidate(msg.vmId, msg.blockOffset)) {
-        if (trace::Tracer *t = fabric_.tracer(); t && msg.trace)
-            t->record(msg.trace, trace::Stage::CacheInvalidate, sim_.now(),
-                      sim_.now());
-    }
-
-    // Determine the compression result (real codec when bytes present).
-    Bytes compressed = 0;
-    std::shared_ptr<const std::vector<std::uint8_t>> compressed_data;
-    if (msg.payload.data) {
-        const corpus::BlockCodecCache::Entry *cached =
-            config_.blockCache
-                ? config_.blockCache->lookupPlain(msg.payload.blockId,
-                                                  msg.payload.data->data(),
-                                                  msg.payload.data->size())
-                : nullptr;
-        if (cached) {
-            compressed = cached->compressed->size();
-            compressed_data = cached->compressed;
-        } else {
-            std::vector<std::uint8_t> out(lz4::maxCompressedSize(payload));
-            const auto n = lz4::compress(msg.payload.data->data(),
-                                         msg.payload.data->size(), out.data(),
-                                         out.size(), config_.effort);
-            SMARTDS_CHECK(n.has_value(), "engine compression failed");
-            out.resize(*n);
-            compressed = *n;
-            compressed_data = std::make_shared<const std::vector<std::uint8_t>>(
-                std::move(out));
-        }
-    } else {
-        compressed = static_cast<Bytes>(static_cast<double>(payload) *
-                                        msg.payload.compressibility);
-        if (compressed == 0)
-            compressed = 1;
-    }
-
-    // --- CPU phase 1: parse the header, program the accelerator --------
-    trace::Tracer *tracer = fabric_.tracer();
-    const trace::TraceContext tctx = msg.trace;
-    const std::uint32_t parse_depth =
-        static_cast<std::uint32_t>(cores_.queueDepth());
-    const Tick parse_start = sim_.now();
-    co_await cores_.executeAsync(calibration::hostHeaderParseCost);
-    if (tracer && tctx)
-        tracer->record(tctx, trace::Stage::HostParse, parse_start,
-                       sim_.now(), parse_depth);
+    compressBlock(w);
     // Doorbell + descriptor fetch before the card can start its DMA.
     co_await sim::delay(sim_, calibration::pcieIdleLatency);
 
-    // --- FPGA phase: DMA payload in, compress, DMA result back ----------
-    // With DDIO the payload was just DMA-written by the NIC and is still
+    // FPGA phase: DMA payload in, compress, DMA result back. With DDIO
+    // the payload was just DMA-written by the NIC and is still
     // LLC-resident, so the FPGA's read needs no DRAM bandwidth; without
     // DDIO it reads DRAM and stalls on loaded latency. The result write
     // allocates in LLC but spills (the intermediate buffer working set is
@@ -174,556 +98,108 @@ AcceleratorServer::serveWrite(net::Message msg)
     // so the hit rate collapses with utilisation (Figure 9's Acc curve).
     const double u = memory_.utilization();
     const bool ddio_hit = acc_.ddio && !rng_.chance(u * u);
+    const Tick start = sim_.now();
+    co_await toCard(w.req.payload.size,
+                    {ddio_hit ? nullptr : fpgaRead_, !ddio_hit},
+                    w.req.payload.size);
+    co_await fromCard(w.compressed);
+    traceSpan(w.req, trace::Stage::Engine, start);
+}
 
-    const Tick engine_start = sim_.now();
-    sim::Completion fetched(sim_);
-    pcie::DmaEngine::Options in;
-    in.memFlow = ddio_hit ? nullptr : fpgaRead_;
-    in.stallOnMemory = !ddio_hit;
-    fpgaDma_->read(payload, in,
-                   [fetched](Tick) mutable { fetched.complete(0); });
-    co_await fetched;
-
-    co_await sim::transferAsync(sim_, *engine_, payload);
-
-    sim::Completion written(sim_);
-    pcie::DmaEngine::Options out_opts;
-    out_opts.memFlow = fpgaWrite_;
-    out_opts.stallOnMemory = false;
-    fpgaDma_->write(compressed, out_opts,
-                    [written](Tick) mutable { written.complete(0); });
-    co_await written;
-    if (tracer && tctx)
-        tracer->record(tctx, trace::Stage::Engine, engine_start, sim_.now());
-
-    // --- Optional EC pass: second trip through the accelerator ----------
+sim::Task
+AcceleratorServer::ecEncode(WriteJob &w)
+{
     // The FPGA exposes the RS engine next to the compressor, so erasure
     // coding costs another DMA round trip: compressed stripe in, k + m
     // shards out.
-    std::vector<net::Payload> shards;
-    if (config_.policy == ReplicationPolicy::ErasureCode) {
-        net::Payload block;
-        block.size = compressed;
-        block.data = compressed_data;
-        block.compressed = true;
-        block.originalSize = payload;
-        block.compressibility = msg.payload.compressibility;
-        const Tick ec_start = sim_.now();
-        sim::Completion ec_in(sim_);
-        pcie::DmaEngine::Options ec_read;
-        ec_read.memFlow = fpgaRead_;
-        ec_read.stallOnMemory = false;
-        fpgaDma_->read(compressed, ec_read,
-                       [ec_in](Tick) mutable { ec_in.complete(0); });
-        co_await ec_in;
-        co_await sim::transferAsync(sim_, *engine_, compressed);
-        shards = encodeShards(config_, msg.tag, block);
-        const Bytes shard_total =
-            shards.front().size * static_cast<Bytes>(shards.size());
-        sim::Completion ec_out(sim_);
-        pcie::DmaEngine::Options ec_write;
-        ec_write.memFlow = fpgaWrite_;
-        ec_write.stallOnMemory = false;
-        fpgaDma_->write(shard_total, ec_write,
-                        [ec_out](Tick) mutable { ec_out.complete(0); });
-        co_await ec_out;
-        if (tracer && tctx)
-            tracer->record(tctx, trace::Stage::EcEncode, ec_start,
-                           sim_.now());
-    }
-
-    // --- CPU phase 2: completion handling, post the replicated sends ----
-    // Completion notification crosses PCIe before software observes it.
-    co_await sim::delay(sim_, calibration::pcieIdleLatency);
-    co_await cores_.executeAsync(calibration::hostHeaderParseCost);
-
-    Placement placement = placeWrite(config_, msg, rng_);
-    auto nodes =
-        std::make_shared<std::vector<net::NodeId>>(std::move(placement.nodes));
-    const unsigned quorum = writeQuorum(config_, nodes->size());
-    auto quorum_acks = std::make_shared<sim::CountLatch>(sim_, quorum);
-    auto all_acks = std::make_shared<sim::CountLatch>(
-        sim_, static_cast<unsigned>(nodes->size()));
-    const Tick replicate_start = sim_.now();
-
-    const bool ec = config_.policy == ReplicationPolicy::ErasureCode;
-    for (unsigned r = 0; r < nodes->size(); ++r) {
-        net::Payload replica_payload;
-        if (ec) {
-            replica_payload = shards[r];
-        } else {
-            replica_payload.size = compressed;
-            replica_payload.compressed = true;
-            replica_payload.originalSize = payload;
-            replica_payload.compressibility = msg.payload.compressibility;
-            replica_payload.data = compressed_data;
-            replica_payload.blockId = msg.payload.blockId;
-        }
-        ReplicaTask task;
-        task.tag = msg.tag;
-        task.blockBytes = replica_payload.size;
-        task.target = (*nodes)[r];
-        task.slot = r;
-        task.ec = ec;
-        task.vmId = msg.vmId;
-        task.blockOffset = msg.blockOffset;
-        task.placement = nodes;
-        task.chunk = placement.chunk;
-        task.chunked = placement.chunked;
-        task.quorumLatch = quorum_acks;
-        task.allLatch = all_acks;
-        // With DDIO the FPGA's result write is still LLC-resident for the
-        // NIC's reads; without DDIO the first send fetches from DRAM.
-        task.send = [this, tag = msg.tag, issue = msg.issueTick, tctx,
-                     pl = replica_payload, hdr = msg.headerData,
-                     first = (!acc_.ddio && r == 0)](net::NodeId dst) mutable {
-            net::Message replica;
-            replica.dst = dst;
-            replica.kind = net::MessageKind::WriteReplica;
-            replica.headerBytes = StorageHeader::wireSize;
-            replica.tag = tag;
-            replica.issueTick = issue;
-            replica.trace = tctx;
-            replica.payload = pl;
-            replica.headerData = hdr;
-            pcie::DmaEngine::Options tx;
-            tx.memFlow = first ? txRead_ : nullptr;
-            tx.stallOnMemory = first;
-            first = false;
-            nic_->setTxDmaOptions(tx);
-            nic_->sendFromHost(std::move(replica));
-        };
-        task.makeRepair = [send = task.send](net::NodeId dst) {
-            return [send, dst]() mutable { send(dst); };
-        };
-        sim::spawn(sim_,
-                   replicateWithFailover(sim_, rng_, config_,
-                                         std::move(task)));
-    }
-    co_await quorum_acks->wait();
-    if (tracer && tctx)
-        tracer->record(tctx, trace::Stage::Replicate, replicate_start,
-                       sim_.now(),
-                       static_cast<std::uint32_t>(nodes->size()));
-    if (!all_acks->wait().done())
-        ++failover_.quorumCompletions;
-
-    net::Message reply;
-    reply.dst = msg.src;
-    reply.dstQp = msg.srcQp;
-    reply.kind = net::MessageKind::WriteReply;
-    reply.headerBytes = StorageHeader::wireSize;
-    reply.tag = msg.tag;
-    reply.issueTick = msg.issueTick;
-    reply.trace = tctx;
-    nic_->setTxDmaOptions({nullptr, false});
-    nic_->sendFromHost(std::move(reply));
-
-    noteCompleted(payload);
+    const Tick start = sim_.now();
+    co_await toCard(w.compressed, {fpgaRead_, false}, w.compressed);
+    w.shards = encodeShards(config_, w.req.tag, w.block());
+    co_await fromCard(w.shards.front().size * w.shards.size());
+    traceSpan(w.req, trace::Stage::EcEncode, start);
 }
 
-sim::Process
-AcceleratorServer::serveRead(net::Message msg)
+sim::Task
+AcceleratorServer::computeDone(const net::Message &)
 {
-    // Read path of the Acc design: the host still fronts the request
-    // (parse, storage fetch, failover) but decompression is a round trip
-    // through the FPGA card — payload DMAs in compressed and back out
-    // decompressed, costing PCIe both ways like the write path.
-    trace::Tracer *tracer = fabric_.tracer();
-    const trace::TraceContext tctx = msg.trace;
-    const std::uint32_t parse_depth =
-        static_cast<std::uint32_t>(cores_.queueDepth());
-    const Tick parse_start = sim_.now();
-    co_await cores_.executeAsync(calibration::hostHeaderParseCost);
-    if (tracer && tctx)
-        tracer->record(tctx, trace::Stage::HostParse, parse_start,
-                       sim_.now(), parse_depth);
-
-    // Hot-block cache (host DRAM): a hit replies straight from memory,
-    // skipping the storage fetch and the FPGA trip entirely.
-    if (readCache_) {
-        if (const HotBlockCache::Entry *hit =
-                readCache_->lookup(msg.vmId, msg.blockOffset)) {
-            // Snapshot the entry: the lookup pointer dies if another
-            // request inserts or invalidates while we are suspended.
-            const HotBlockCache::Entry cached = *hit;
-            const Tick hit_start = sim_.now();
-            co_await cores_.executeAsync(
-                calibration::hostPerRequestSoftwareCost);
-            if (tracer && tctx)
-                tracer->record(tctx, trace::Stage::CacheHit, hit_start,
-                               sim_.now());
-            net::Message reply;
-            reply.dst = msg.src;
-            reply.dstQp = msg.srcQp;
-            reply.kind = net::MessageKind::ReadReply;
-            reply.headerBytes = StorageHeader::wireSize;
-            reply.tag = msg.tag;
-            reply.issueTick = msg.issueTick;
-            reply.trace = tctx;
-            reply.payload.size = cached.plainSize;
-            reply.payload.data = cached.plain;
-            reply.payload.compressibility = cached.compressibility;
-            pcie::DmaEngine::Options tx;
-            tx.memFlow = txRead_;
-            tx.stallOnMemory = true;
-            nic_->setTxDmaOptions(tx);
-            nic_->sendFromHost(std::move(reply));
-            co_return;
-        }
-        if (tracer && tctx)
-            tracer->record(tctx, trace::Stage::CacheMiss, sim_.now(),
-                           sim_.now());
-    }
-
-    const auto candidates = readCandidates(config_, msg);
-    SMARTDS_CHECK(!candidates.empty(), "read with no storage candidates");
-    const std::size_t start = rng_.below(candidates.size());
-
-    net::Message stored;
-    std::shared_ptr<const std::vector<std::uint8_t>> plain_data;
-    bool have = false;
-    for (std::size_t a = 0; a < candidates.size() && !have; ++a) {
-        const net::NodeId target =
-            candidates[(start + a) % candidates.size()];
-        net::Message fetch;
-        fetch.dst = target;
-        fetch.kind = net::MessageKind::ReadFetch;
-        fetch.headerBytes = StorageHeader::wireSize;
-        fetch.tag = msg.tag;
-        fetch.issueTick = msg.issueTick;
-        fetch.payload.size = msg.payload.size; // compressed size hint
-        fetch.payload.compressibility = msg.payload.compressibility;
-        fetch.payload.originalSize = msg.payload.originalSize;
-        fetch.trace = tctx;
-
-        sim::Completion fetched =
-            expectFetch(sim_, msg.tag, config_.failover.ackTimeout);
-        nic_->setTxDmaOptions({nullptr, false});
-        nic_->sendFromHost(std::move(fetch));
-        if (co_await fetched == 0) {
-            ++failover_.readFailovers;
-            if (health_.noteTimeout(target))
-                ++failover_.nodesSuspected;
-            continue;
-        }
-        health_.noteAck(target);
-
-        net::Message candidate = takeFetchReply(msg.tag);
-        const VerifiedBlock verified = verifyFetchedBlock(config_, candidate);
-        plain_data = verified.plain;
-        if (verified.corrupt) {
-            ++failover_.corruptionsDetected;
-            ++failover_.readFailovers;
-            if (cacheInvalidate(msg.vmId, msg.blockOffset) && tracer && tctx)
-                tracer->record(tctx, trace::Stage::CacheInvalidate,
-                               sim_.now(), sim_.now());
-            continue;
-        }
-        stored = std::move(candidate);
-        have = true;
-    }
-    if (!have)
-        ++failover_.readsUnserved;
-
-    const Bytes compressed = std::max<Bytes>(
-        have ? stored.payload.size : msg.payload.size, 1);
-    const Bytes original = std::max<Bytes>(
-        stored.payload.originalSize
-            ? stored.payload.originalSize
-            : (msg.payload.originalSize ? msg.payload.originalSize
-                                        : compressed),
-        1);
-
-    // Doorbell + descriptor fetch, then the FPGA decompress round trip:
-    // compressed block in, decompressed block out.
-    co_await sim::delay(sim_, calibration::pcieIdleLatency);
-    const Tick engine_start = sim_.now();
-    sim::Completion dma_in(sim_);
-    pcie::DmaEngine::Options in;
-    in.memFlow = fpgaRead_;
-    in.stallOnMemory = true;
-    fpgaDma_->read(compressed, in,
-                   [dma_in](Tick) mutable { dma_in.complete(0); });
-    co_await dma_in;
-    co_await sim::transferAsync(sim_, *engine_, original);
-    sim::Completion dma_out(sim_);
-    pcie::DmaEngine::Options out_opts;
-    out_opts.memFlow = fpgaWrite_;
-    out_opts.stallOnMemory = false;
-    fpgaDma_->write(original, out_opts,
-                    [dma_out](Tick) mutable { dma_out.complete(0); });
-    co_await dma_out;
-    if (tracer && tctx)
-        tracer->record(tctx, trace::Stage::Engine, engine_start, sim_.now());
+    // The card's completion crosses PCIe before software observes it; a
+    // core then handles it (and posts the sends, or the reply).
     co_await sim::delay(sim_, calibration::pcieIdleLatency);
     co_await cores_.executeAsync(calibration::hostHeaderParseCost);
-
-    if (have && readCache_)
-        readCache_->insert(msg.vmId, msg.blockOffset,
-                           {original, stored.payload.compressibility,
-                            plain_data});
-
-    net::Message reply;
-    reply.dst = msg.src;
-    reply.dstQp = msg.srcQp;
-    reply.kind = net::MessageKind::ReadReply;
-    reply.headerBytes = StorageHeader::wireSize;
-    reply.tag = msg.tag;
-    reply.issueTick = msg.issueTick;
-    reply.trace = tctx;
-    reply.payload.size = original;
-    reply.payload.data = plain_data;
-    reply.payload.compressibility = stored.payload.compressibility;
-    pcie::DmaEngine::Options tx;
-    tx.memFlow = txRead_;
-    tx.stallOnMemory = true;
-    nic_->setTxDmaOptions(tx);
-    nic_->sendFromHost(std::move(reply));
 }
 
-sim::Process
-AcceleratorServer::serveReadEc(net::Message msg)
+sim::Task
+AcceleratorServer::decompress(const net::Message &req, Bytes in, Bytes out)
 {
-    // EC read: the host gathers any k healthy shards (same probe loop as
-    // CPU-only), then the FPGA pays the RS decode trip when parity was
-    // needed and the decompress trip either way.
-    trace::Tracer *tracer = fabric_.tracer();
-    const trace::TraceContext tctx = msg.trace;
-    const std::uint32_t parse_depth =
-        static_cast<std::uint32_t>(cores_.queueDepth());
-    const Tick parse_start = sim_.now();
-    co_await cores_.executeAsync(calibration::hostHeaderParseCost);
-    if (tracer && tctx)
-        tracer->record(tctx, trace::Stage::HostParse, parse_start,
-                       sim_.now(), parse_depth);
-
-    if (readCache_) {
-        if (const HotBlockCache::Entry *hit =
-                readCache_->lookup(msg.vmId, msg.blockOffset)) {
-            // Snapshot the entry: the lookup pointer dies if another
-            // request inserts or invalidates while we are suspended.
-            const HotBlockCache::Entry cached = *hit;
-            const Tick hit_start = sim_.now();
-            co_await cores_.executeAsync(
-                calibration::hostPerRequestSoftwareCost);
-            if (tracer && tctx)
-                tracer->record(tctx, trace::Stage::CacheHit, hit_start,
-                               sim_.now());
-            net::Message reply;
-            reply.dst = msg.src;
-            reply.dstQp = msg.srcQp;
-            reply.kind = net::MessageKind::ReadReply;
-            reply.headerBytes = StorageHeader::wireSize;
-            reply.tag = msg.tag;
-            reply.issueTick = msg.issueTick;
-            reply.trace = tctx;
-            reply.payload.size = cached.plainSize;
-            reply.payload.data = cached.plain;
-            reply.payload.compressibility = cached.compressibility;
-            pcie::DmaEngine::Options tx;
-            tx.memFlow = txRead_;
-            tx.stallOnMemory = true;
-            nic_->setTxDmaOptions(tx);
-            nic_->sendFromHost(std::move(reply));
-            co_return;
-        }
-        if (tracer && tctx)
-            tracer->record(tctx, trace::Stage::CacheMiss, sim_.now(),
-                           sim_.now());
-    }
-
-    const ec::RsCodec &codec = ecCodec(config_);
-    const unsigned k = codec.k();
-    const auto candidates = readCandidates(config_, msg);
-    SMARTDS_CHECK(candidates.size() >= k,
-                  "EC read needs %u storage nodes, have %zu", k,
-                  candidates.size());
-    const std::size_t ring_start = rng_.below(candidates.size());
-
-    const Bytes stripe_hint = std::max<Bytes>(
-        msg.payload.size
-            ? msg.payload.size
-            : static_cast<Bytes>(
-                  static_cast<double>(msg.payload.originalSize) *
-                  msg.payload.compressibility),
-        1);
-    const Bytes shard_hint = ec::RsCodec::shardSize(stripe_hint, k);
-
-    std::vector<unsigned> shard_idx;
-    std::vector<net::Message> shard_msgs;
-    bool degraded = false;
-    const Tick collect_start = sim_.now();
-    for (std::size_t a = 0;
-         a < candidates.size() && shard_idx.size() < k;
-         ++a) {
-        const net::NodeId target =
-            candidates[(ring_start + a) % candidates.size()];
-        net::Message fetch;
-        fetch.dst = target;
-        fetch.kind = net::MessageKind::ReadFetch;
-        fetch.headerBytes = StorageHeader::wireSize;
-        fetch.tag = msg.tag;
-        fetch.issueTick = msg.issueTick;
-        fetch.payload.size = shard_hint;
-        fetch.payload.compressibility = msg.payload.compressibility;
-        fetch.payload.originalSize = msg.payload.originalSize;
-        fetch.payload.ecK = static_cast<std::uint8_t>(k);
-        fetch.payload.ecM = static_cast<std::uint8_t>(codec.m());
-        fetch.payload.ecShard = static_cast<std::uint8_t>(
-            std::min<std::size_t>(shard_idx.size(), codec.n() - 1));
-        fetch.payload.ecStripeBytes = stripe_hint;
-        fetch.trace = tctx;
-
-        sim::Completion fetched =
-            expectFetch(sim_, msg.tag, config_.failover.ackTimeout);
-        nic_->setTxDmaOptions({nullptr, false});
-        nic_->sendFromHost(std::move(fetch));
-        if (co_await fetched == 0) {
-            ++failover_.readFailovers;
-            degraded = true;
-            if (health_.noteTimeout(target))
-                ++failover_.nodesSuspected;
-            continue;
-        }
-        health_.noteAck(target);
-
-        net::Message candidate = takeFetchReply(msg.tag);
-        if (candidate.payload.ecK == 0) {
-            degraded = true; // node holds no shard of this stripe
-            continue;
-        }
-        if (candidate.payload.corrupted ||
-            (candidate.payload.data &&
-             xxhash32(*candidate.payload.data) !=
-                 candidate.payload.ecShardChecksum)) {
-            ++failover_.corruptionsDetected;
-            ++failover_.readFailovers;
-            degraded = true;
-            continue;
-        }
-        const unsigned idx = candidate.payload.ecShard;
-        if (std::find(shard_idx.begin(), shard_idx.end(), idx) !=
-            shard_idx.end())
-            continue; // duplicate shard index (repaired copy)
-        shard_idx.push_back(idx);
-        shard_msgs.push_back(std::move(candidate));
-    }
-    if (tracer && tctx)
-        tracer->record(tctx, trace::Stage::DegradedRead, collect_start,
-                       sim_.now(),
-                       static_cast<std::uint32_t>(shard_idx.size()));
-
-    const bool have = shard_idx.size() >= k;
-    bool corrupt = !have;
-    if (!have)
-        ++failover_.readsUnserved;
-
-    const bool systematic =
-        have && std::all_of(shard_idx.begin(), shard_idx.end(),
-                            [k](unsigned i) { return i < k; });
-    if (have && !systematic)
-        degraded = true;
-    if (degraded && have)
-        ++failover_.degradedReads;
-
-    const Bytes stripe_bytes = std::max<Bytes>(
-        have ? shard_msgs.front().payload.ecStripeBytes : stripe_hint, 1);
-    const Bytes shard_bytes = ec::RsCodec::shardSize(stripe_bytes, k);
-
-    std::shared_ptr<const std::vector<std::uint8_t>> plain_data;
-    net::Message stored;
-    if (have)
-        stored = shard_msgs.front();
-    if (have && !systematic) {
-        // RS decode trip through the card: k shards DMA in, the engine
-        // runs the GF(256) math, the stripe DMAs back out.
-        co_await sim::delay(sim_, calibration::pcieIdleLatency);
-        const Tick decode_start = sim_.now();
-        sim::Completion dec_in(sim_);
-        pcie::DmaEngine::Options in;
-        in.memFlow = fpgaRead_;
-        in.stallOnMemory = false;
-        fpgaDma_->read(shard_bytes * static_cast<Bytes>(k), in,
-                       [dec_in](Tick) mutable { dec_in.complete(0); });
-        co_await dec_in;
-        co_await sim::transferAsync(sim_, *engine_, stripe_bytes);
-        sim::Completion dec_out(sim_);
-        pcie::DmaEngine::Options out_opts;
-        out_opts.memFlow = fpgaWrite_;
-        out_opts.stallOnMemory = false;
-        fpgaDma_->write(stripe_bytes, out_opts,
-                        [dec_out](Tick) mutable { dec_out.complete(0); });
-        co_await dec_out;
-        if (tracer && tctx)
-            tracer->record(tctx, trace::Stage::EcDecode, decode_start,
-                           sim_.now());
-    }
-    if (have && shard_msgs.front().payload.data) {
-        const VerifiedBlock recovered =
-            decodeEcStripe(config_, shard_idx, shard_msgs, stripe_bytes);
-        corrupt = recovered.corrupt;
-        plain_data = recovered.plain;
-        if (corrupt) {
-            ++failover_.corruptionsDetected;
-            ++failover_.readsUnserved;
-            if (cacheInvalidate(msg.vmId, msg.blockOffset) && tracer &&
-                tctx)
-                tracer->record(tctx, trace::Stage::CacheInvalidate,
-                               sim_.now(), sim_.now());
-        }
-    }
-
-    const Bytes original = std::max<Bytes>(
-        have && stored.payload.originalSize ? stored.payload.originalSize
-                                            : msg.payload.originalSize,
-        1);
-
-    // Decompress round trip, as on the replicated read path.
+    // Doorbell + descriptor fetch, then the FPGA decompress round trip —
+    // stored block in, plain block out, costing PCIe both ways like the
+    // write path — and the completion, as on writes.
     co_await sim::delay(sim_, calibration::pcieIdleLatency);
-    const Tick engine_start = sim_.now();
-    sim::Completion dma_in(sim_);
-    pcie::DmaEngine::Options in;
-    in.memFlow = fpgaRead_;
-    in.stallOnMemory = true;
-    fpgaDma_->read(stripe_bytes, in,
-                   [dma_in](Tick) mutable { dma_in.complete(0); });
-    co_await dma_in;
-    co_await sim::transferAsync(sim_, *engine_, original);
-    sim::Completion dma_out(sim_);
-    pcie::DmaEngine::Options out_opts;
-    out_opts.memFlow = fpgaWrite_;
-    out_opts.stallOnMemory = false;
-    fpgaDma_->write(original, out_opts,
-                    [dma_out](Tick) mutable { dma_out.complete(0); });
-    co_await dma_out;
-    if (tracer && tctx)
-        tracer->record(tctx, trace::Stage::Engine, engine_start, sim_.now());
+    const Tick start = sim_.now();
+    co_await toCard(in, {fpgaRead_, true}, out);
+    co_await fromCard(out);
+    traceSpan(req, trace::Stage::Engine, start);
+    co_await computeDone(req);
+}
+
+sim::Task
+AcceleratorServer::rsDecode(const net::Message &req, Bytes in, Bytes stripe)
+{
+    // RS decode trip through the card: k shards DMA in, the engine runs
+    // the GF(256) math, the stripe DMAs back out.
     co_await sim::delay(sim_, calibration::pcieIdleLatency);
-    co_await cores_.executeAsync(calibration::hostHeaderParseCost);
+    const Tick start = sim_.now();
+    co_await toCard(in, {fpgaRead_, false}, stripe);
+    co_await fromCard(stripe);
+    traceSpan(req, trace::Stage::EcDecode, start);
+}
 
-    if (have && !corrupt && readCache_)
-        readCache_->insert(msg.vmId, msg.blockOffset,
-                           {original, stored.payload.compressibility,
-                            plain_data});
+sim::Task
+AcceleratorServer::cacheHit(const net::Message &)
+{
+    // Hot-block cache in host DRAM: the hit skips the storage fetch and
+    // the FPGA trip entirely.
+    co_await cores_.executeAsync(calibration::hostPerRequestSoftwareCost);
+}
 
-    net::Message reply;
-    reply.dst = msg.src;
-    reply.dstQp = msg.srcQp;
-    reply.kind = net::MessageKind::ReadReply;
-    reply.headerBytes = StorageHeader::wireSize;
-    reply.tag = msg.tag;
-    reply.issueTick = msg.issueTick;
-    reply.trace = tctx;
-    reply.payload.size = original;
-    reply.payload.data = plain_data;
-    reply.payload.compressibility =
-        have ? stored.payload.compressibility : msg.payload.compressibility;
-    pcie::DmaEngine::Options tx;
-    tx.memFlow = txRead_;
-    tx.stallOnMemory = true;
-    nic_->setTxDmaOptions(tx);
+void
+AcceleratorServer::toStorage(unsigned, unsigned, net::Message msg,
+                             bool first)
+{
+    // With DDIO the FPGA's result write is still LLC-resident for the
+    // NIC's reads; without DDIO the first send fetches from DRAM.
+    const bool from_dram = first && !acc_.ddio;
+    nic_->setTxDmaOptions({from_dram ? txRead_ : nullptr, from_dram});
+    nic_->sendFromHost(std::move(msg));
+}
+
+sim::Task
+AcceleratorServer::toClient(unsigned, net::Message reply)
+{
+    // A read reply's payload is DMA-read from host memory.
+    const bool data = reply.kind == net::MessageKind::ReadReply;
+    nic_->setTxDmaOptions({data ? txRead_ : nullptr, data});
     nic_->sendFromHost(std::move(reply));
+    co_return;
+}
+
+sim::Task
+AcceleratorServer::toCard(Bytes in, pcie::DmaEngine::Options opts,
+                          Bytes work)
+{
+    sim::Completion fetched(sim_);
+    fpgaDma_->read(in, opts, [fetched](Tick) mutable { fetched.complete(0); });
+    co_await fetched;
+    co_await sim::transferAsync(sim_, *engine_, work);
+}
+
+sim::Task
+AcceleratorServer::fromCard(Bytes out)
+{
+    sim::Completion written(sim_);
+    fpgaDma_->write(out, {fpgaWrite_, false},
+                    [written](Tick) mutable { written.complete(0); });
+    co_await written;
 }
 
 } // namespace smartds::middletier

@@ -17,7 +17,7 @@
 
 #include "host/core_pool.h"
 #include "mem/memory_system.h"
-#include "middletier/server_base.h"
+#include "middletier/per_request_server.h"
 #include "nic/rdma_nic.h"
 #include "sim/bandwidth_server.h"
 #include "sim/process.h"
@@ -25,7 +25,7 @@
 namespace smartds::middletier {
 
 /** The "Acc" baseline: NIC + discrete FPGA compression card. */
-class AcceleratorServer : public MiddleTierServer
+class AcceleratorServer : public PerRequestServer
 {
   public:
     struct AccConfig
@@ -52,22 +52,31 @@ class AcceleratorServer : public MiddleTierServer
     host::CorePool &cores() { return cores_; }
 
   private:
-    void dispatch(net::Message msg);
-    sim::Process serveWrite(net::Message msg);
-    sim::Process serveRead(net::Message msg);
-    sim::Process serveReadEc(net::Message msg);
+    sim::Task parse(const net::Message &req) override;
+    sim::Task compress(WriteJob &w) override;
+    sim::Task ecEncode(WriteJob &w) override;
+    sim::Task computeDone(const net::Message &req) override;
+    sim::Task decompress(const net::Message &req, Bytes in,
+                         Bytes out) override;
+    sim::Task rsDecode(const net::Message &req, Bytes in,
+                       Bytes stripe) override;
+    sim::Task cacheHit(const net::Message &req) override;
+    void toStorage(unsigned port, unsigned lane, net::Message msg,
+                   bool first) override;
+    sim::Task toClient(unsigned port, net::Message reply) override;
 
-    sim::Simulator &sim_;
-    net::Fabric &fabric_;
+    /** DMA @p in bytes to the card, then run @p work bytes on the engine. */
+    sim::Task toCard(Bytes in, pcie::DmaEngine::Options opts, Bytes work);
+    /** DMA @p out result bytes back into host memory. */
+    sim::Task fromCard(Bytes out);
+
     mem::MemorySystem &memory_;
-    ServerConfig config_;
     AccConfig acc_;
     std::unique_ptr<nic::RdmaNic> nic_;
     std::unique_ptr<pcie::PcieLink> fpgaPcie_;
     std::unique_ptr<pcie::DmaEngine> fpgaDma_;
     std::unique_ptr<sim::BandwidthServer> engine_;
     host::CorePool cores_;
-    Rng rng_;
 
     sim::FairShareResource::Flow *rxWrite_;
     sim::FairShareResource::Flow *fpgaRead_;

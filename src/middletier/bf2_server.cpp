@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/checksum.h"
-#include "common/logging.h"
 #include "middletier/protocol.h"
 #include "sim/awaitables.h"
 
@@ -17,18 +15,26 @@ Bf2Server::Bf2Server(net::Fabric &fabric, ServerConfig config)
 }
 
 Bf2Server::Bf2Server(net::Fabric &fabric, ServerConfig config, Bf2Config bf2)
-    : sim_(fabric.simulator()), fabric_(fabric),
-      config_(std::move(config)), bf2_(bf2),
+    : PerRequestServer(fabric, std::move(config)), bf2_(bf2),
       devMemory_(sim_, "bf2.dram", bf2.memoryBandwidth),
       arm_(sim_, "bf2.arm",
-           std::min(config_.cores, calibration::bf2ArmCores)),
-      rng_(config_.seed)
+           std::min(config_.cores, calibration::bf2ArmCores))
 {
     for (unsigned i = 0; i < bf2_.ports; ++i) {
         auto *port =
             fabric.createPort("bf2.p" + std::to_string(i));
         port->onReceive([this, i](net::Message msg) {
-            dispatch(i, std::move(msg));
+            // Acks are consumed on arrival; everything else — requests
+            // and fetched blocks — is DMA-written into device DRAM before
+            // the Arm cores see it.
+            if (msg.kind == net::MessageKind::WriteReplicaAck) {
+                dispatch(i, std::move(msg));
+                return;
+            }
+            auto parked = std::make_shared<net::Message>(std::move(msg));
+            rxWrite_->transfer(parked->wireBytes(), [this, i, parked]() {
+                dispatch(i, std::move(*parked));
+            });
         });
         ports_.push_back(port);
     }
@@ -45,7 +51,6 @@ Bf2Server::Bf2Server(net::Fabric &fabric, ServerConfig config, Bf2Config bf2)
     armRequestCost_ = static_cast<Tick>(
         static_cast<double>(calibration::smartdsHostRequestCost) *
         bf2_.armSlowdown);
-    initFailover(config_);
 }
 
 net::NodeId
@@ -72,553 +77,97 @@ Bf2Server::addUsageProbes(UsageProbes &probes)
     addFailoverProbes(probes);
 }
 
-void
-Bf2Server::dispatch(unsigned port, net::Message msg)
+sim::Task
+Bf2Server::parse(const net::Message &req)
 {
-    switch (msg.kind) {
-      case net::MessageKind::WriteRequest: {
-        // The NIC DMA-writes the message into device DRAM first.
-        auto msg_ptr = std::make_shared<net::Message>(std::move(msg));
-        rxWrite_->transfer(msg_ptr->wireBytes(), [this, port, msg_ptr]() {
-            sim::spawn(sim_, serveWrite(port, std::move(*msg_ptr)));
-        });
-        break;
-      }
-      case net::MessageKind::WriteReplicaAck:
-        deliverAck(msg.tag, msg.src);
-        break;
-      case net::MessageKind::ReadRequest: {
-        auto msg_ptr = std::make_shared<net::Message>(std::move(msg));
-        rxWrite_->transfer(msg_ptr->wireBytes(), [this, port, msg_ptr]() {
-            if (config_.policy == ReplicationPolicy::ErasureCode)
-                sim::spawn(sim_, serveReadEc(port, std::move(*msg_ptr)));
-            else
-                sim::spawn(sim_, serveRead(port, std::move(*msg_ptr)));
-        });
-        break;
-      }
-      case net::MessageKind::ReadFetchReply: {
-        // The fetched block lands in device DRAM before the Arm cores
-        // see the completion.
-        auto msg_ptr = std::make_shared<net::Message>(std::move(msg));
-        rxWrite_->transfer(msg_ptr->wireBytes(), [this, msg_ptr]() {
-            deliverFetch(std::move(*msg_ptr));
-        });
-        break;
-      }
-      default:
-        panic("BF2 server: unexpected message kind %u",
-              static_cast<unsigned>(msg.kind));
-    }
+    return parseOn(arm_, armRequestCost_, req);
 }
 
-sim::Process
-Bf2Server::serveWrite(unsigned port, net::Message msg)
+sim::Task
+Bf2Server::compress(WriteJob &w)
 {
-    const Bytes payload = msg.payload.size;
+    // The off-path engine is modelled by size alone: the corpus ratio
+    // sets the compressed size and no bytes travel with the block.
+    w.compressed = ratioBytes(w.req.payload);
+    const Tick start = sim_.now();
+    co_await onEngine(w.req.payload.size, w.req.payload.size, w.compressed);
+    traceSpan(w.req, trace::Stage::Engine, start);
+}
 
-    // Write-through coherence: the cached copy goes stale the moment the
-    // write is accepted, before any concurrent read can hit it.
-    if (cacheInvalidate(msg.vmId, msg.blockOffset)) {
-        if (trace::Tracer *t = fabric_.tracer(); t && msg.trace)
-            t->record(msg.trace, trace::Stage::CacheInvalidate, sim_.now(),
-                      sim_.now());
-    }
-    Bytes compressed = static_cast<Bytes>(static_cast<double>(payload) *
-                                          msg.payload.compressibility);
-    if (compressed == 0)
-        compressed = 1;
-
-    // --- Arm phase: parse the header, drive the engine ------------------
-    trace::Tracer *tracer = fabric_.tracer();
-    const trace::TraceContext tctx = msg.trace;
-    const std::uint32_t parse_depth =
-        static_cast<std::uint32_t>(arm_.queueDepth());
-    const Tick parse_start = sim_.now();
-    co_await arm_.executeAsync(armRequestCost_);
-    if (tracer && tctx)
-        tracer->record(tctx, trace::Stage::HostParse, parse_start,
-                       sim_.now(), parse_depth);
-
-    // --- Off-path engine: DRAM read -> compress -> DRAM write -----------
-    const Tick engine_start = sim_.now();
-    co_await sim::transferAsync(sim_, *engineRead_, payload);
-    co_await sim::transferAsync(sim_, *engine_, payload);
-    co_await sim::transferAsync(sim_, *engineWrite_, compressed);
-    if (tracer && tctx)
-        tracer->record(tctx, trace::Stage::Engine, engine_start, sim_.now());
-
-    // --- Optional EC pass: another engine trip through device DRAM ------
+sim::Task
+Bf2Server::ecEncode(WriteJob &w)
+{
     // BF2 runs erasure coding on the same off-path accelerator complex:
     // read the compressed stripe from DRAM, RS-encode, write k + m
     // shards back — more pressure on the already-narrow device DRAM.
-    std::vector<net::Payload> shards;
-    if (config_.policy == ReplicationPolicy::ErasureCode) {
-        net::Payload block;
-        block.size = compressed;
-        block.compressed = true;
-        block.originalSize = payload;
-        block.compressibility = msg.payload.compressibility;
-        const Tick ec_start = sim_.now();
-        co_await sim::transferAsync(sim_, *engineRead_, compressed);
-        co_await sim::transferAsync(sim_, *engine_, compressed);
-        shards = encodeShards(config_, msg.tag, block);
-        const Bytes shard_total =
-            shards.front().size * static_cast<Bytes>(shards.size());
-        co_await sim::transferAsync(sim_, *engineWrite_, shard_total);
-        if (tracer && tctx)
-            tracer->record(tctx, trace::Stage::EcEncode, ec_start,
-                           sim_.now());
-    }
-
-    // --- Replicate: each send re-reads the block from device DRAM -------
-    // (the narrow on-card DRAM is the 3.5x-traffic bottleneck of 3.4).
-    Placement placement = placeWrite(config_, msg, rng_);
-    auto nodes =
-        std::make_shared<std::vector<net::NodeId>>(std::move(placement.nodes));
-    const unsigned quorum = writeQuorum(config_, nodes->size());
-    auto quorum_acks = std::make_shared<sim::CountLatch>(sim_, quorum);
-    auto all_acks = std::make_shared<sim::CountLatch>(
-        sim_, static_cast<unsigned>(nodes->size()));
-    const Tick replicate_start = sim_.now();
-
-    const bool ec = config_.policy == ReplicationPolicy::ErasureCode;
-    for (unsigned r = 0; r < nodes->size(); ++r) {
-        net::Payload replica_payload;
-        if (ec) {
-            replica_payload = shards[r];
-        } else {
-            replica_payload.size = compressed;
-            replica_payload.compressed = true;
-            replica_payload.originalSize = payload;
-            replica_payload.compressibility = msg.payload.compressibility;
-            replica_payload.blockId = msg.payload.blockId;
-        }
-        ReplicaTask task;
-        task.tag = msg.tag;
-        task.blockBytes = replica_payload.size;
-        task.target = (*nodes)[r];
-        task.slot = r;
-        task.ec = ec;
-        task.vmId = msg.vmId;
-        task.blockOffset = msg.blockOffset;
-        task.placement = nodes;
-        task.chunk = placement.chunk;
-        task.chunked = placement.chunked;
-        task.quorumLatch = quorum_acks;
-        task.allLatch = all_acks;
-        auto *out_port = ports_[(port + r) % ports_.size()];
-        task.send = [this, out_port, tag = msg.tag, issue = msg.issueTick,
-                     tctx, pl = replica_payload,
-                     hdr = msg.headerData](net::NodeId dst) {
-            auto replica = std::make_shared<net::Message>();
-            replica->dst = dst;
-            replica->kind = net::MessageKind::WriteReplica;
-            replica->headerBytes = StorageHeader::wireSize;
-            replica->tag = tag;
-            replica->issueTick = issue;
-            replica->trace = tctx;
-            replica->payload = pl;
-            replica->headerData = hdr;
-            const Bytes tx_bytes = pl.size;
-            txRead_->transfer(tx_bytes, [out_port, replica]() {
-                out_port->send(std::move(*replica));
-            });
-        };
-        task.makeRepair = [send = task.send](net::NodeId dst) {
-            return [send, dst]() { send(dst); };
-        };
-        sim::spawn(sim_,
-                   replicateWithFailover(sim_, rng_, config_,
-                                         std::move(task)));
-    }
-    co_await quorum_acks->wait();
-    if (tracer && tctx)
-        tracer->record(tctx, trace::Stage::Replicate, replicate_start,
-                       sim_.now(),
-                       static_cast<std::uint32_t>(nodes->size()));
-    if (!all_acks->wait().done())
-        ++failover_.quorumCompletions;
-
-    net::Message reply;
-    reply.dst = msg.src;
-    reply.dstQp = msg.srcQp;
-    reply.kind = net::MessageKind::WriteReply;
-    reply.headerBytes = StorageHeader::wireSize;
-    reply.tag = msg.tag;
-    reply.issueTick = msg.issueTick;
-    reply.trace = tctx;
-    sim::Completion hdr_read(sim_);
-    txRead_->transfer(StorageHeader::wireSize,
-                      [hdr_read]() mutable { hdr_read.complete(0); });
-    co_await hdr_read;
-    ports_[port]->send(std::move(reply));
-
-    noteCompleted(payload);
+    const Tick start = sim_.now();
+    co_await sim::transferAsync(sim_, *engineRead_, w.compressed);
+    co_await sim::transferAsync(sim_, *engine_, w.compressed);
+    w.shards = encodeShards(config_, w.req.tag, w.block());
+    co_await sim::transferAsync(sim_, *engineWrite_,
+                                w.shards.front().size * w.shards.size());
+    traceSpan(w.req, trace::Stage::EcEncode, start);
 }
 
-sim::Process
-Bf2Server::serveRead(unsigned port, net::Message msg)
+sim::Task
+Bf2Server::decompress(const net::Message &req, Bytes in, Bytes out)
 {
-    // On-card read path: Arm cores front the request, the fetched block
-    // lands in device DRAM, and the off-path engine decompresses it —
-    // every byte crossing the narrow on-card DRAM both ways.
-    trace::Tracer *tracer = fabric_.tracer();
-    const trace::TraceContext tctx = msg.trace;
-    const std::uint32_t parse_depth =
-        static_cast<std::uint32_t>(arm_.queueDepth());
-    const Tick parse_start = sim_.now();
-    co_await arm_.executeAsync(armRequestCost_);
-    if (tracer && tctx)
-        tracer->record(tctx, trace::Stage::HostParse, parse_start,
-                       sim_.now(), parse_depth);
+    // Every byte crosses the narrow on-card DRAM both ways.
+    const Tick start = sim_.now();
+    co_await onEngine(in, out, out);
+    traceSpan(req, trace::Stage::Engine, start);
+}
 
+sim::Task
+Bf2Server::rsDecode(const net::Message &req, Bytes in, Bytes stripe)
+{
+    // k shards from DRAM, the rebuilt stripe back.
+    const Tick start = sim_.now();
+    co_await onEngine(in, stripe, stripe);
+    traceSpan(req, trace::Stage::EcDecode, start);
+}
+
+sim::Task
+Bf2Server::cacheHit(const net::Message &)
+{
     // Hot-block cache in device DRAM: a hit costs one DRAM read of the
-    // plain bytes on the tx flow, no fabric fetch and no engine trip.
-    if (readCache_) {
-        if (const HotBlockCache::Entry *hit =
-                readCache_->lookup(msg.vmId, msg.blockOffset)) {
-            // Snapshot the entry: the lookup pointer dies if another
-            // request inserts or invalidates while we are suspended.
-            const HotBlockCache::Entry cached = *hit;
-            const Tick hit_start = sim_.now();
-            net::Message reply;
-            reply.dst = msg.src;
-            reply.dstQp = msg.srcQp;
-            reply.kind = net::MessageKind::ReadReply;
-            reply.headerBytes = StorageHeader::wireSize;
-            reply.tag = msg.tag;
-            reply.issueTick = msg.issueTick;
-            reply.trace = tctx;
-            reply.payload.size = cached.plainSize;
-            reply.payload.data = cached.plain;
-            reply.payload.compressibility = cached.compressibility;
-            sim::Completion cache_read(sim_);
-            txRead_->transfer(cached.plainSize, [cache_read]() mutable {
-                cache_read.complete(0);
-            });
-            co_await cache_read;
-            if (tracer && tctx)
-                tracer->record(tctx, trace::Stage::CacheHit, hit_start,
-                               sim_.now());
-            ports_[port]->send(std::move(reply));
-            co_return;
-        }
-        if (tracer && tctx)
-            tracer->record(tctx, trace::Stage::CacheMiss, sim_.now(),
-                           sim_.now());
-    }
+    // plain bytes — the reply's own TX read — and no fabric fetch or
+    // engine trip.
+    co_return;
+}
 
-    const auto candidates = readCandidates(config_, msg);
-    SMARTDS_CHECK(!candidates.empty(), "read with no storage candidates");
-    const std::size_t start = rng_.below(candidates.size());
+void
+Bf2Server::toStorage(unsigned port, unsigned lane, net::Message msg, bool)
+{
+    // The TX path reads what it sends from device DRAM — a replica's
+    // block (each send re-reads it: the 3.5x-traffic bottleneck of
+    // Section 3.4) or a fetch's header — and a request's sends stripe
+    // over the ports.
+    const Bytes bytes = msg.kind == net::MessageKind::WriteReplica
+                            ? msg.payload.size
+                            : StorageHeader::wireSize;
+    auto parked = std::make_shared<net::Message>(std::move(msg));
+    net::Port *out = ports_[(port + lane) % ports_.size()];
+    txRead_->transfer(bytes,
+                      [out, parked]() { out->send(std::move(*parked)); });
+}
 
-    net::Message stored;
-    std::shared_ptr<const std::vector<std::uint8_t>> plain_data;
-    bool have = false;
-    for (std::size_t a = 0; a < candidates.size() && !have; ++a) {
-        const net::NodeId target =
-            candidates[(start + a) % candidates.size()];
-        net::Message fetch;
-        fetch.dst = target;
-        fetch.kind = net::MessageKind::ReadFetch;
-        fetch.headerBytes = StorageHeader::wireSize;
-        fetch.tag = msg.tag;
-        fetch.issueTick = msg.issueTick;
-        fetch.payload.size = msg.payload.size; // compressed size hint
-        fetch.payload.compressibility = msg.payload.compressibility;
-        fetch.payload.originalSize = msg.payload.originalSize;
-        fetch.trace = tctx;
-
-        sim::Completion fetched =
-            expectFetch(sim_, msg.tag, config_.failover.ackTimeout);
-        auto fetch_ptr = std::make_shared<net::Message>(std::move(fetch));
-        auto *out_port = ports_[(port + a) % ports_.size()];
-        txRead_->transfer(StorageHeader::wireSize,
-                          [out_port, fetch_ptr]() {
-                              out_port->send(std::move(*fetch_ptr));
-                          });
-        if (co_await fetched == 0) {
-            ++failover_.readFailovers;
-            if (health_.noteTimeout(target))
-                ++failover_.nodesSuspected;
-            continue;
-        }
-        health_.noteAck(target);
-
-        net::Message candidate = takeFetchReply(msg.tag);
-        const VerifiedBlock verified = verifyFetchedBlock(config_, candidate);
-        plain_data = verified.plain;
-        if (verified.corrupt) {
-            ++failover_.corruptionsDetected;
-            ++failover_.readFailovers;
-            if (cacheInvalidate(msg.vmId, msg.blockOffset) && tracer && tctx)
-                tracer->record(tctx, trace::Stage::CacheInvalidate,
-                               sim_.now(), sim_.now());
-            continue;
-        }
-        stored = std::move(candidate);
-        have = true;
-    }
-    if (!have)
-        ++failover_.readsUnserved;
-
-    const Bytes compressed = std::max<Bytes>(
-        have ? stored.payload.size : msg.payload.size, 1);
-    const Bytes original = std::max<Bytes>(
-        stored.payload.originalSize
-            ? stored.payload.originalSize
-            : (msg.payload.originalSize ? msg.payload.originalSize
-                                        : compressed),
-        1);
-
-    // Off-path engine decompress: DRAM read -> engine -> DRAM write.
-    const Tick engine_start = sim_.now();
-    co_await sim::transferAsync(sim_, *engineRead_, compressed);
-    co_await sim::transferAsync(sim_, *engine_, original);
-    co_await sim::transferAsync(sim_, *engineWrite_, original);
-    if (tracer && tctx)
-        tracer->record(tctx, trace::Stage::Engine, engine_start, sim_.now());
-
-    if (have && readCache_)
-        readCache_->insert(msg.vmId, msg.blockOffset,
-                           {original, stored.payload.compressibility,
-                            plain_data});
-
-    net::Message reply;
-    reply.dst = msg.src;
-    reply.dstQp = msg.srcQp;
-    reply.kind = net::MessageKind::ReadReply;
-    reply.headerBytes = StorageHeader::wireSize;
-    reply.tag = msg.tag;
-    reply.issueTick = msg.issueTick;
-    reply.trace = tctx;
-    reply.payload.size = original;
-    reply.payload.data = plain_data;
-    reply.payload.compressibility = stored.payload.compressibility;
-    sim::Completion tx_read(sim_);
-    txRead_->transfer(original,
-                      [tx_read]() mutable { tx_read.complete(0); });
-    co_await tx_read;
+sim::Task
+Bf2Server::toClient(unsigned port, net::Message reply)
+{
+    const Bytes bytes = reply.kind == net::MessageKind::ReadReply
+                            ? reply.payload.size
+                            : StorageHeader::wireSize;
+    co_await sim::transferAsync(sim_, *txRead_, bytes);
     ports_[port]->send(std::move(reply));
 }
 
-sim::Process
-Bf2Server::serveReadEc(unsigned port, net::Message msg)
+sim::Task
+Bf2Server::onEngine(Bytes in, Bytes work, Bytes out)
 {
-    // EC read on-card: gather any k healthy shards over the ports, RS
-    // decode on the engine when parity was needed, then decompress.
-    trace::Tracer *tracer = fabric_.tracer();
-    const trace::TraceContext tctx = msg.trace;
-    const std::uint32_t parse_depth =
-        static_cast<std::uint32_t>(arm_.queueDepth());
-    const Tick parse_start = sim_.now();
-    co_await arm_.executeAsync(armRequestCost_);
-    if (tracer && tctx)
-        tracer->record(tctx, trace::Stage::HostParse, parse_start,
-                       sim_.now(), parse_depth);
-
-    if (readCache_) {
-        if (const HotBlockCache::Entry *hit =
-                readCache_->lookup(msg.vmId, msg.blockOffset)) {
-            // Snapshot the entry: the lookup pointer dies if another
-            // request inserts or invalidates while we are suspended.
-            const HotBlockCache::Entry cached = *hit;
-            const Tick hit_start = sim_.now();
-            net::Message reply;
-            reply.dst = msg.src;
-            reply.dstQp = msg.srcQp;
-            reply.kind = net::MessageKind::ReadReply;
-            reply.headerBytes = StorageHeader::wireSize;
-            reply.tag = msg.tag;
-            reply.issueTick = msg.issueTick;
-            reply.trace = tctx;
-            reply.payload.size = cached.plainSize;
-            reply.payload.data = cached.plain;
-            reply.payload.compressibility = cached.compressibility;
-            sim::Completion cache_read(sim_);
-            txRead_->transfer(cached.plainSize, [cache_read]() mutable {
-                cache_read.complete(0);
-            });
-            co_await cache_read;
-            if (tracer && tctx)
-                tracer->record(tctx, trace::Stage::CacheHit, hit_start,
-                               sim_.now());
-            ports_[port]->send(std::move(reply));
-            co_return;
-        }
-        if (tracer && tctx)
-            tracer->record(tctx, trace::Stage::CacheMiss, sim_.now(),
-                           sim_.now());
-    }
-
-    const ec::RsCodec &codec = ecCodec(config_);
-    const unsigned k = codec.k();
-    const auto candidates = readCandidates(config_, msg);
-    SMARTDS_CHECK(candidates.size() >= k,
-                  "EC read needs %u storage nodes, have %zu", k,
-                  candidates.size());
-    const std::size_t ring_start = rng_.below(candidates.size());
-
-    const Bytes stripe_hint = std::max<Bytes>(
-        msg.payload.size
-            ? msg.payload.size
-            : static_cast<Bytes>(
-                  static_cast<double>(msg.payload.originalSize) *
-                  msg.payload.compressibility),
-        1);
-    const Bytes shard_hint = ec::RsCodec::shardSize(stripe_hint, k);
-
-    std::vector<unsigned> shard_idx;
-    std::vector<net::Message> shard_msgs;
-    bool degraded = false;
-    const Tick collect_start = sim_.now();
-    for (std::size_t a = 0;
-         a < candidates.size() && shard_idx.size() < k;
-         ++a) {
-        const net::NodeId target =
-            candidates[(ring_start + a) % candidates.size()];
-        net::Message fetch;
-        fetch.dst = target;
-        fetch.kind = net::MessageKind::ReadFetch;
-        fetch.headerBytes = StorageHeader::wireSize;
-        fetch.tag = msg.tag;
-        fetch.issueTick = msg.issueTick;
-        fetch.payload.size = shard_hint;
-        fetch.payload.compressibility = msg.payload.compressibility;
-        fetch.payload.originalSize = msg.payload.originalSize;
-        fetch.payload.ecK = static_cast<std::uint8_t>(k);
-        fetch.payload.ecM = static_cast<std::uint8_t>(codec.m());
-        fetch.payload.ecShard = static_cast<std::uint8_t>(
-            std::min<std::size_t>(shard_idx.size(), codec.n() - 1));
-        fetch.payload.ecStripeBytes = stripe_hint;
-        fetch.trace = tctx;
-
-        sim::Completion fetched =
-            expectFetch(sim_, msg.tag, config_.failover.ackTimeout);
-        auto fetch_ptr = std::make_shared<net::Message>(std::move(fetch));
-        auto *out_port = ports_[(port + a) % ports_.size()];
-        txRead_->transfer(StorageHeader::wireSize,
-                          [out_port, fetch_ptr]() {
-                              out_port->send(std::move(*fetch_ptr));
-                          });
-        if (co_await fetched == 0) {
-            ++failover_.readFailovers;
-            degraded = true;
-            if (health_.noteTimeout(target))
-                ++failover_.nodesSuspected;
-            continue;
-        }
-        health_.noteAck(target);
-
-        net::Message candidate = takeFetchReply(msg.tag);
-        if (candidate.payload.ecK == 0) {
-            degraded = true; // node holds no shard of this stripe
-            continue;
-        }
-        if (candidate.payload.corrupted ||
-            (candidate.payload.data &&
-             xxhash32(*candidate.payload.data) !=
-                 candidate.payload.ecShardChecksum)) {
-            ++failover_.corruptionsDetected;
-            ++failover_.readFailovers;
-            degraded = true;
-            continue;
-        }
-        const unsigned idx = candidate.payload.ecShard;
-        if (std::find(shard_idx.begin(), shard_idx.end(), idx) !=
-            shard_idx.end())
-            continue; // duplicate shard index (repaired copy)
-        shard_idx.push_back(idx);
-        shard_msgs.push_back(std::move(candidate));
-    }
-    if (tracer && tctx)
-        tracer->record(tctx, trace::Stage::DegradedRead, collect_start,
-                       sim_.now(),
-                       static_cast<std::uint32_t>(shard_idx.size()));
-
-    const bool have = shard_idx.size() >= k;
-    bool corrupt = !have;
-    if (!have)
-        ++failover_.readsUnserved;
-
-    const bool systematic =
-        have && std::all_of(shard_idx.begin(), shard_idx.end(),
-                            [k](unsigned i) { return i < k; });
-    if (have && !systematic)
-        degraded = true;
-    if (degraded && have)
-        ++failover_.degradedReads;
-
-    const Bytes stripe_bytes = std::max<Bytes>(
-        have ? shard_msgs.front().payload.ecStripeBytes : stripe_hint, 1);
-    const Bytes shard_bytes = ec::RsCodec::shardSize(stripe_bytes, k);
-
-    std::shared_ptr<const std::vector<std::uint8_t>> plain_data;
-    net::Message stored;
-    if (have)
-        stored = shard_msgs.front();
-    if (have && !systematic) {
-        // RS decode on the engine: k shards from DRAM, stripe back.
-        const Tick decode_start = sim_.now();
-        co_await sim::transferAsync(sim_, *engineRead_,
-                                    shard_bytes * static_cast<Bytes>(k));
-        co_await sim::transferAsync(sim_, *engine_, stripe_bytes);
-        co_await sim::transferAsync(sim_, *engineWrite_, stripe_bytes);
-        if (tracer && tctx)
-            tracer->record(tctx, trace::Stage::EcDecode, decode_start,
-                           sim_.now());
-    }
-    if (have && shard_msgs.front().payload.data) {
-        const VerifiedBlock recovered =
-            decodeEcStripe(config_, shard_idx, shard_msgs, stripe_bytes);
-        corrupt = recovered.corrupt;
-        plain_data = recovered.plain;
-        if (corrupt) {
-            ++failover_.corruptionsDetected;
-            ++failover_.readsUnserved;
-            if (cacheInvalidate(msg.vmId, msg.blockOffset) && tracer &&
-                tctx)
-                tracer->record(tctx, trace::Stage::CacheInvalidate,
-                               sim_.now(), sim_.now());
-        }
-    }
-
-    const Bytes original = std::max<Bytes>(
-        have && stored.payload.originalSize ? stored.payload.originalSize
-                                            : msg.payload.originalSize,
-        1);
-
-    // Engine decompress of the reassembled stripe.
-    const Tick engine_start = sim_.now();
-    co_await sim::transferAsync(sim_, *engineRead_, stripe_bytes);
-    co_await sim::transferAsync(sim_, *engine_, original);
-    co_await sim::transferAsync(sim_, *engineWrite_, original);
-    if (tracer && tctx)
-        tracer->record(tctx, trace::Stage::Engine, engine_start, sim_.now());
-
-    if (have && !corrupt && readCache_)
-        readCache_->insert(msg.vmId, msg.blockOffset,
-                           {original, stored.payload.compressibility,
-                            plain_data});
-
-    net::Message reply;
-    reply.dst = msg.src;
-    reply.dstQp = msg.srcQp;
-    reply.kind = net::MessageKind::ReadReply;
-    reply.headerBytes = StorageHeader::wireSize;
-    reply.tag = msg.tag;
-    reply.issueTick = msg.issueTick;
-    reply.trace = tctx;
-    reply.payload.size = original;
-    reply.payload.data = plain_data;
-    reply.payload.compressibility =
-        have ? stored.payload.compressibility : msg.payload.compressibility;
-    sim::Completion tx_read(sim_);
-    txRead_->transfer(original,
-                      [tx_read]() mutable { tx_read.complete(0); });
-    co_await tx_read;
-    ports_[port]->send(std::move(reply));
+    co_await sim::transferAsync(sim_, *engineRead_, in);
+    co_await sim::transferAsync(sim_, *engine_, work);
+    co_await sim::transferAsync(sim_, *engineWrite_, out);
 }
 
 } // namespace smartds::middletier

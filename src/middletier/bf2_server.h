@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "host/core_pool.h"
-#include "middletier/server_base.h"
+#include "middletier/per_request_server.h"
 #include "net/fabric.h"
 #include "sim/bandwidth_server.h"
 #include "sim/fair_share.h"
@@ -28,7 +28,7 @@
 namespace smartds::middletier {
 
 /** The "BF2" baseline: SoC SmartNIC with on-card Arm cores + engine. */
-class Bf2Server : public MiddleTierServer
+class Bf2Server : public PerRequestServer
 {
   public:
     struct Bf2Config
@@ -56,14 +56,21 @@ class Bf2Server : public MiddleTierServer
     host::CorePool &armCores() { return arm_; }
 
   private:
-    void dispatch(unsigned port, net::Message msg);
-    sim::Process serveWrite(unsigned port, net::Message msg);
-    sim::Process serveRead(unsigned port, net::Message msg);
-    sim::Process serveReadEc(unsigned port, net::Message msg);
+    sim::Task parse(const net::Message &req) override;
+    sim::Task compress(WriteJob &w) override;
+    sim::Task ecEncode(WriteJob &w) override;
+    sim::Task decompress(const net::Message &req, Bytes in,
+                         Bytes out) override;
+    sim::Task rsDecode(const net::Message &req, Bytes in,
+                       Bytes stripe) override;
+    sim::Task cacheHit(const net::Message &req) override;
+    void toStorage(unsigned port, unsigned lane, net::Message msg,
+                   bool first) override;
+    sim::Task toClient(unsigned port, net::Message reply) override;
 
-    sim::Simulator &sim_;
-    net::Fabric &fabric_;
-    ServerConfig config_;
+    /** Engine trip: @p in bytes read from DRAM, @p out bytes written. */
+    sim::Task onEngine(Bytes in, Bytes work, Bytes out);
+
     Bf2Config bf2_;
     std::vector<net::Port *> ports_;
     sim::FairShareResource devMemory_;
@@ -73,7 +80,6 @@ class Bf2Server : public MiddleTierServer
     sim::FairShareResource::Flow *txRead_;
     std::unique_ptr<sim::BandwidthServer> engine_;
     host::CorePool arm_;
-    Rng rng_;
     Tick armRequestCost_;
 };
 

@@ -3,23 +3,17 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/checksum.h"
 #include "common/check.h"
-#include "common/logging.h"
-#include "corpus/block_cache.h"
 #include "lz4/lz4.h"
-#include "middletier/protocol.h"
 #include "sim/awaitables.h"
 
 namespace smartds::middletier {
 
 CpuOnlyServer::CpuOnlyServer(net::Fabric &fabric, mem::MemorySystem &memory,
                              ServerConfig config)
-    : sim_(fabric.simulator()), fabric_(fabric), memory_(memory),
-      config_(std::move(config)),
+    : PerRequestServer(fabric, std::move(config)), memory_(memory),
       nic_(std::make_unique<nic::RdmaNic>(fabric, "cpuonly.nic", &memory)),
-      cores_(sim_, "cpuonly.cores", config_.cores),
-      rng_(config_.seed)
+      cores_(sim_, "cpuonly.cores", config_.cores)
 {
     const BytesPerSecond per_core =
         host::perCoreCompressionRate(config_.cores) *
@@ -33,8 +27,8 @@ CpuOnlyServer::CpuOnlyServer(net::Fabric &fabric, mem::MemorySystem &memory,
 
     // Received messages DMA into host memory (posted writes).
     nic_->setRxDmaOptions({rxWrite_, false});
-    nic_->onHostReceive([this](net::Message msg) { dispatch(std::move(msg)); });
-    initFailover(config_);
+    nic_->onHostReceive(
+        [this](net::Message msg) { dispatch(0, std::move(msg)); });
 }
 
 net::NodeId
@@ -62,45 +56,19 @@ CpuOnlyServer::addUsageProbes(UsageProbes &probes)
     addFailoverProbes(probes);
 }
 
-void
-CpuOnlyServer::dispatch(net::Message msg)
+sim::Task
+CpuOnlyServer::parse(const net::Message &req)
 {
-    switch (msg.kind) {
-      case net::MessageKind::WriteRequest:
-        sim::spawn(sim_, serveWrite(std::move(msg)));
-        break;
-      case net::MessageKind::WriteReplicaAck:
-        deliverAck(msg.tag, msg.src);
-        break;
-      case net::MessageKind::ReadRequest:
-        if (config_.policy == ReplicationPolicy::ErasureCode)
-            sim::spawn(sim_, serveReadEc(std::move(msg)));
-        else
-            sim::spawn(sim_, serveRead(std::move(msg)));
-        break;
-      case net::MessageKind::ReadFetchReply:
-        deliverFetch(std::move(msg));
-        break;
-      default:
-        panic("CPU-only server: unexpected message kind %u",
-              static_cast<unsigned>(msg.kind));
-    }
+    // A write's header parse is part of its compress phase: the host
+    // parses, places and compresses in one per-request software step.
+    if (req.kind == net::MessageKind::WriteRequest)
+        co_return;
+    co_await parseOn(cores_, calibration::hostHeaderParseCost, req);
 }
 
-sim::Process
-CpuOnlyServer::serveWrite(net::Message msg)
+sim::Task
+CpuOnlyServer::compress(WriteJob &w)
 {
-    const Bytes payload = msg.payload.size;
-
-    // Write-through coherence: the cached copy goes stale the moment the
-    // write is accepted, before any concurrent read can hit it.
-    if (cacheInvalidate(msg.vmId, msg.blockOffset)) {
-        if (trace::Tracer *t = fabric_.tracer(); t && msg.trace)
-            t->record(msg.trace, trace::Stage::CacheInvalidate, sim_.now(),
-                      sim_.now());
-    }
-
-    // --- CPU phase: parse header, decide placement, compress ------------
     // The core is held for the software time; concurrently the
     // compression streams the block through host memory (read the input,
     // write the compressed output). The phase ends when both are done.
@@ -111,7 +79,8 @@ CpuOnlyServer::serveWrite(net::Message msg)
     // Software on a busy SMT core also jitters with cache/TLB pressure;
     // hardware engines do not (their pipelines are deterministic), which
     // is one reason the paper's software tails fan out under load.
-    const double content_factor = 0.7 + 0.55 * msg.payload.compressibility;
+    const Bytes payload = w.req.payload.size;
+    const double content_factor = 0.7 + 0.55 * w.req.payload.compressibility;
     const double smt_jitter = 0.9 + 0.35 * rng_.uniform();
     // A core keeps only hostCoreMlp cache-line misses in flight, so under
     // memory pressure its streaming bandwidth caps at mlp*64/latency and
@@ -124,600 +93,102 @@ CpuOnlyServer::serveWrite(net::Message msg)
     const double effective_rate = std::min(nominal_rate, mem_bound_rate);
     const Tick compress_ticks = transferTicks(
         payload, effective_rate / (content_factor * smt_jitter));
-    const Tick cpu_time =
-        calibration::hostPerRequestSoftwareCost + compress_ticks;
+    compressBlock(w);
 
-    // Real compression when the request carries functional bytes;
-    // otherwise use the compressibility the corpus sampler attached.
-    Bytes compressed = 0;
-    std::shared_ptr<const std::vector<std::uint8_t>> compressed_data;
-    if (msg.payload.data) {
-        // Corpus-backed payloads resolve to the precomputed compressed
-        // buffer (hash-guarded: mutated bytes fall through to the codec).
-        const corpus::BlockCodecCache::Entry *cached =
-            config_.blockCache
-                ? config_.blockCache->lookupPlain(msg.payload.blockId,
-                                                  msg.payload.data->data(),
-                                                  msg.payload.data->size())
-                : nullptr;
-        if (cached) {
-            compressed = cached->compressed->size();
-            compressed_data = cached->compressed;
-        } else {
-            std::vector<std::uint8_t> out(lz4::maxCompressedSize(payload));
-            const auto n = lz4::compress(msg.payload.data->data(),
-                                         msg.payload.data->size(), out.data(),
-                                         out.size(), config_.effort);
-            SMARTDS_CHECK(n.has_value(), "software compression failed");
-            out.resize(*n);
-            compressed = *n;
-            compressed_data = std::make_shared<const std::vector<std::uint8_t>>(
-                std::move(out));
-        }
-    } else {
-        compressed = static_cast<Bytes>(static_cast<double>(payload) *
-                                        msg.payload.compressibility);
-        if (compressed == 0)
-            compressed = 1;
-    }
-
-    trace::Tracer *tracer = fabric_.tracer();
-    const trace::TraceContext tctx = msg.trace;
-    const std::uint32_t compute_depth =
-        static_cast<std::uint32_t>(cores_.queueDepth());
-    const Tick compute_start = sim_.now();
-    co_await cores_.acquire();
-    auto cpu = sim::timerAsync(sim_, cpu_time);
-    auto mem_in = sim::transferAsync(sim_, *compressRead_, payload);
-    auto mem_out = sim::transferAsync(sim_, *compressWrite_, compressed);
-    co_await cpu;
-    co_await mem_in;
-    co_await mem_out;
-    cores_.release();
-    if (tracer && tctx)
-        tracer->record(tctx, trace::Stage::HostCompute, compute_start,
-                       sim_.now(), compute_depth);
-
-    // --- Erasure-code the compressed block into k + m shards ------------
-    // Under the EC policy the host pays the GF(256) multiply-accumulate
-    // work in software: the compressed stripe streams back through the
-    // core once for the parity products (NIC designs offload exactly
-    // this; Di Girolamo et al.).
-    std::vector<net::Payload> shards;
-    if (config_.policy == ReplicationPolicy::ErasureCode) {
-        net::Payload block;
-        block.size = compressed;
-        block.data = compressed_data;
-        block.compressed = true;
-        block.originalSize = payload;
-        block.compressibility = msg.payload.compressibility;
-        const Tick encode_start = sim_.now();
-        co_await cores_.acquire();
-        const Tick encode_ticks =
-            calibration::hostPerRequestSoftwareCost +
-            transferTicks(compressed, calibration::hostEcEncodeRate);
-        auto enc_cpu = sim::timerAsync(sim_, encode_ticks);
-        auto enc_in = sim::transferAsync(sim_, *compressRead_, compressed);
-        shards = encodeShards(config_, msg.tag, block);
-        const Bytes shard_total =
-            shards.front().size * static_cast<Bytes>(shards.size());
-        auto enc_out =
-            sim::transferAsync(sim_, *compressWrite_, shard_total);
-        co_await enc_cpu;
-        co_await enc_in;
-        co_await enc_out;
-        cores_.release();
-        if (tracer && tctx)
-            tracer->record(tctx, trace::Stage::EcEncode, encode_start,
-                           sim_.now());
-    }
-
-    // --- Replicate to the chosen storage servers ------------------------
-    // Each replica (or RS shard) runs its own failover loop (timeout,
-    // retry, re-placement); the VM is acknowledged once the quorum is
-    // durable.
-    Placement placement = placeWrite(config_, msg, rng_);
-    auto nodes =
-        std::make_shared<std::vector<net::NodeId>>(std::move(placement.nodes));
-    const unsigned quorum = writeQuorum(config_, nodes->size());
-    auto quorum_acks = std::make_shared<sim::CountLatch>(sim_, quorum);
-    auto all_acks = std::make_shared<sim::CountLatch>(
-        sim_, static_cast<unsigned>(nodes->size()));
-    const Tick replicate_start = sim_.now();
-
-    const bool ec = config_.policy == ReplicationPolicy::ErasureCode;
-    for (unsigned r = 0; r < nodes->size(); ++r) {
-        // Under EC, slot r carries shard r of the stripe; under
-        // replication it carries a whole-block copy.
-        net::Payload replica_payload;
-        if (ec) {
-            replica_payload = shards[r];
-        } else {
-            replica_payload.size = compressed;
-            replica_payload.compressed = true;
-            replica_payload.originalSize = payload;
-            replica_payload.compressibility = msg.payload.compressibility;
-            replica_payload.data = compressed_data;
-            replica_payload.blockId = msg.payload.blockId;
-        }
-        ReplicaTask task;
-        task.tag = msg.tag;
-        task.blockBytes = replica_payload.size;
-        task.target = (*nodes)[r];
-        task.slot = r;
-        task.ec = ec;
-        task.vmId = msg.vmId;
-        task.blockOffset = msg.blockOffset;
-        task.placement = nodes;
-        task.chunk = placement.chunk;
-        task.chunked = placement.chunked;
-        task.quorumLatch = quorum_acks;
-        task.allLatch = all_acks;
-        // The first replica read misses the LLC (the compressed block is
-        // fetched once from memory); the remaining sends hit.
-        task.send = [this, tag = msg.tag, issue = msg.issueTick, tctx,
-                     pl = replica_payload, hdr = msg.headerData,
-                     first = (r == 0)](net::NodeId dst) mutable {
-            net::Message replica;
-            replica.dst = dst;
-            replica.kind = net::MessageKind::WriteReplica;
-            replica.headerBytes = StorageHeader::wireSize;
-            replica.tag = tag;
-            replica.issueTick = issue;
-            replica.trace = tctx;
-            replica.payload = pl;
-            replica.headerData = hdr;
-            pcie::DmaEngine::Options tx;
-            tx.memFlow = first ? txRead_ : nullptr;
-            tx.stallOnMemory = first;
-            first = false;
-            nic_->setTxDmaOptions(tx);
-            nic_->sendFromHost(std::move(replica));
-        };
-        // The send closure is self-contained (it shares the compressed
-        // bytes), so a deferred background repair can simply re-run it.
-        task.makeRepair = [send = task.send](net::NodeId dst) {
-            return [send, dst]() mutable { send(dst); };
-        };
-        sim::spawn(sim_,
-                   replicateWithFailover(sim_, rng_, config_,
-                                         std::move(task)));
-    }
-    co_await quorum_acks->wait();
-    if (tracer && tctx)
-        tracer->record(tctx, trace::Stage::Replicate, replicate_start,
-                       sim_.now(),
-                       static_cast<std::uint32_t>(nodes->size()));
-    if (!all_acks->wait().done())
-        ++failover_.quorumCompletions;
-
-    // --- Acknowledge the VM ---------------------------------------------
-    net::Message reply;
-    reply.dst = msg.src;
-    reply.dstQp = msg.srcQp;
-    reply.kind = net::MessageKind::WriteReply;
-    reply.headerBytes = StorageHeader::wireSize;
-    reply.tag = msg.tag;
-    reply.issueTick = msg.issueTick;
-    reply.trace = tctx;
-    nic_->setTxDmaOptions({nullptr, false});
-    nic_->sendFromHost(std::move(reply));
-
-    noteCompleted(payload);
+    const auto depth = static_cast<std::uint32_t>(cores_.queueDepth());
+    const Tick start = sim_.now();
+    co_await onCore(calibration::hostPerRequestSoftwareCost + compress_ticks,
+                    payload, w.compressed);
+    traceSpan(w.req, trace::Stage::HostCompute, start, depth);
 }
 
-sim::Process
-CpuOnlyServer::serveRead(net::Message msg)
+sim::Task
+CpuOnlyServer::ecEncode(WriteJob &w)
 {
-    // Identify the block and fetch it from a storage server holding it
-    // (Fig. 3b). Crashed or slow replicas time out and the fetch fails
-    // over; corrupt data is caught by the end-to-end checksum and served
-    // from another replica.
-    trace::Tracer *tracer = fabric_.tracer();
-    const trace::TraceContext tctx = msg.trace;
-    const std::uint32_t parse_depth =
-        static_cast<std::uint32_t>(cores_.queueDepth());
-    const Tick parse_start = sim_.now();
-    co_await cores_.executeAsync(calibration::hostHeaderParseCost);
-    if (tracer && tctx)
-        tracer->record(tctx, trace::Stage::HostParse, parse_start,
-                       sim_.now(), parse_depth);
-
-    // Hot-block cache: a hit serves the verified plaintext straight from
-    // host memory, skipping the storage fetch and decompression.
-    if (readCache_) {
-        if (const HotBlockCache::Entry *hit =
-                readCache_->lookup(msg.vmId, msg.blockOffset)) {
-            // Snapshot the entry: the lookup pointer dies if another
-            // request inserts or invalidates while we are suspended.
-            const HotBlockCache::Entry cached = *hit;
-            const Tick hit_start = sim_.now();
-            co_await cores_.executeAsync(
-                calibration::hostPerRequestSoftwareCost);
-            if (tracer && tctx)
-                tracer->record(tctx, trace::Stage::CacheHit, hit_start,
-                               sim_.now());
-            net::Message reply;
-            reply.dst = msg.src;
-            reply.dstQp = msg.srcQp;
-            reply.kind = net::MessageKind::ReadReply;
-            reply.headerBytes = StorageHeader::wireSize;
-            reply.tag = msg.tag;
-            reply.issueTick = msg.issueTick;
-            reply.trace = tctx;
-            reply.payload.size = cached.plainSize;
-            reply.payload.data = cached.plain;
-            reply.payload.compressibility = cached.compressibility;
-            pcie::DmaEngine::Options tx;
-            tx.memFlow = txRead_;
-            tx.stallOnMemory = true;
-            nic_->setTxDmaOptions(tx);
-            nic_->sendFromHost(std::move(reply));
-            co_return;
-        }
-        if (tracer && tctx)
-            tracer->record(tctx, trace::Stage::CacheMiss, sim_.now(),
-                           sim_.now());
-    }
-
-    const auto candidates = readCandidates(config_, msg);
-    SMARTDS_CHECK(!candidates.empty(), "read with no storage candidates");
-    const std::size_t start = rng_.below(candidates.size());
-
-    net::Message stored;
-    std::shared_ptr<const std::vector<std::uint8_t>> plain_data;
-    bool have = false;
-    for (std::size_t a = 0; a < candidates.size() && !have; ++a) {
-        const net::NodeId target =
-            candidates[(start + a) % candidates.size()];
-        net::Message fetch;
-        fetch.dst = target;
-        fetch.kind = net::MessageKind::ReadFetch;
-        fetch.headerBytes = StorageHeader::wireSize;
-        fetch.tag = msg.tag;
-        fetch.issueTick = msg.issueTick;
-        fetch.payload.size = msg.payload.size; // compressed size hint
-        fetch.payload.compressibility = msg.payload.compressibility;
-        fetch.payload.originalSize = msg.payload.originalSize;
-        fetch.trace = tctx;
-
-        sim::Completion fetched =
-            expectFetch(sim_, msg.tag, config_.failover.ackTimeout);
-        nic_->setTxDmaOptions({nullptr, false});
-        nic_->sendFromHost(std::move(fetch));
-        if (co_await fetched == 0) {
-            ++failover_.readFailovers;
-            if (health_.noteTimeout(target))
-                ++failover_.nodesSuspected;
-            continue;
-        }
-        health_.noteAck(target);
-
-        net::Message candidate = takeFetchReply(msg.tag);
-
-        // End-to-end integrity: decompress, then verify the checksum the
-        // VM stamped into the storage header at write time.
-        const VerifiedBlock verified = verifyFetchedBlock(config_, candidate);
-        plain_data = verified.plain;
-        if (verified.corrupt) {
-            ++failover_.corruptionsDetected;
-            ++failover_.readFailovers;
-            // Checksum failover is a cache coherence point: drop any
-            // cached copy of the block rather than trust it outlived
-            // whatever corrupted the replica.
-            if (cacheInvalidate(msg.vmId, msg.blockOffset) && tracer && tctx)
-                tracer->record(tctx, trace::Stage::CacheInvalidate,
-                               sim_.now(), sim_.now());
-            continue;
-        }
-        stored = std::move(candidate);
-        have = true;
-    }
-    if (!have)
-        ++failover_.readsUnserved;
-
-    // Decompress in software (7x faster than compression per core).
-    const Bytes compressed = std::max<Bytes>(
-        have ? stored.payload.size : msg.payload.size, 1);
-    const Bytes original = std::max<Bytes>(
-        stored.payload.originalSize
-            ? stored.payload.originalSize
-            : (msg.payload.originalSize ? msg.payload.originalSize
-                                        : compressed),
-        1);
-    const Tick cpu_time =
-        calibration::hostPerRequestSoftwareCost +
-        compressTicksPerByte_ * original /
-            static_cast<Tick>(calibration::lz4DecompressSpeedup);
-
-    const std::uint32_t compute_depth =
-        static_cast<std::uint32_t>(cores_.queueDepth());
-    const Tick compute_start = sim_.now();
+    // The host pays the GF(256) multiply-accumulate work in software: the
+    // compressed stripe streams back through the core once for the
+    // parity products (NIC designs offload exactly this; Di Girolamo et
+    // al.).
+    const Tick start = sim_.now();
     co_await cores_.acquire();
-    auto cpu = sim::timerAsync(sim_, cpu_time);
-    auto mem_in = sim::transferAsync(sim_, *compressRead_, compressed);
-    auto mem_out = sim::transferAsync(sim_, *compressWrite_, original);
-    co_await cpu;
-    co_await mem_in;
-    co_await mem_out;
+    w.shards = encodeShards(config_, w.req.tag, w.block());
+    co_await stream(calibration::hostPerRequestSoftwareCost +
+                        transferTicks(w.compressed,
+                                      calibration::hostEcEncodeRate),
+                    w.compressed, w.shards.front().size * w.shards.size());
     cores_.release();
-    if (tracer && tctx)
-        tracer->record(tctx, trace::Stage::HostCompute, compute_start,
-                       sim_.now(), compute_depth);
-
-    // Keep the verified plaintext for future hits on this block.
-    if (have && readCache_)
-        readCache_->insert(msg.vmId, msg.blockOffset,
-                           {original, stored.payload.compressibility,
-                            plain_data});
-
-    net::Message reply;
-    reply.dst = msg.src;
-    reply.dstQp = msg.srcQp;
-    reply.kind = net::MessageKind::ReadReply;
-    reply.headerBytes = StorageHeader::wireSize;
-    reply.tag = msg.tag;
-    reply.issueTick = msg.issueTick;
-    reply.trace = tctx;
-    reply.payload.size = original;
-    reply.payload.data = plain_data;
-    reply.payload.compressibility = stored.payload.compressibility;
-    pcie::DmaEngine::Options tx;
-    tx.memFlow = txRead_;
-    tx.stallOnMemory = true;
-    nic_->setTxDmaOptions(tx);
-    nic_->sendFromHost(std::move(reply));
+    traceSpan(w.req, trace::Stage::EcEncode, start);
 }
 
-sim::Process
-CpuOnlyServer::serveReadEc(net::Message msg)
+sim::Task
+CpuOnlyServer::decompress(const net::Message &req, Bytes in, Bytes out)
 {
-    // EC read: probe the pool for any k healthy shards of the stripe,
-    // then reassemble (concat when the k data shards answered, RS decode
-    // from parity otherwise) and decompress as usual. Each shard probe
-    // reuses the read-path timeout/health machinery.
-    trace::Tracer *tracer = fabric_.tracer();
-    const trace::TraceContext tctx = msg.trace;
-    const std::uint32_t parse_depth =
-        static_cast<std::uint32_t>(cores_.queueDepth());
-    const Tick parse_start = sim_.now();
-    co_await cores_.executeAsync(calibration::hostHeaderParseCost);
-    if (tracer && tctx)
-        tracer->record(tctx, trace::Stage::HostParse, parse_start,
-                       sim_.now(), parse_depth);
+    // Software decompression (7x faster than compression per core).
+    const auto depth = static_cast<std::uint32_t>(cores_.queueDepth());
+    const Tick start = sim_.now();
+    co_await onCore(calibration::hostPerRequestSoftwareCost +
+                        compressTicksPerByte_ * out /
+                            static_cast<Tick>(
+                                calibration::lz4DecompressSpeedup),
+                    in, out);
+    traceSpan(req, trace::Stage::HostCompute, start, depth);
+}
 
-    // A cached block skips the whole shard-gathering fan-out.
-    if (readCache_) {
-        if (const HotBlockCache::Entry *hit =
-                readCache_->lookup(msg.vmId, msg.blockOffset)) {
-            // Snapshot the entry: the lookup pointer dies if another
-            // request inserts or invalidates while we are suspended.
-            const HotBlockCache::Entry cached = *hit;
-            const Tick hit_start = sim_.now();
-            co_await cores_.executeAsync(
-                calibration::hostPerRequestSoftwareCost);
-            if (tracer && tctx)
-                tracer->record(tctx, trace::Stage::CacheHit, hit_start,
-                               sim_.now());
-            net::Message reply;
-            reply.dst = msg.src;
-            reply.dstQp = msg.srcQp;
-            reply.kind = net::MessageKind::ReadReply;
-            reply.headerBytes = StorageHeader::wireSize;
-            reply.tag = msg.tag;
-            reply.issueTick = msg.issueTick;
-            reply.trace = tctx;
-            reply.payload.size = cached.plainSize;
-            reply.payload.data = cached.plain;
-            reply.payload.compressibility = cached.compressibility;
-            pcie::DmaEngine::Options tx;
-            tx.memFlow = txRead_;
-            tx.stallOnMemory = true;
-            nic_->setTxDmaOptions(tx);
-            nic_->sendFromHost(std::move(reply));
-            co_return;
-        }
-        if (tracer && tctx)
-            tracer->record(tctx, trace::Stage::CacheMiss, sim_.now(),
-                           sim_.now());
-    }
+sim::Task
+CpuOnlyServer::rsDecode(const net::Message &req, Bytes in, Bytes stripe)
+{
+    // Stream k shards through the core and write the rebuilt stripe.
+    const Tick start = sim_.now();
+    co_await onCore(calibration::hostPerRequestSoftwareCost +
+                        transferTicks(stripe, calibration::hostEcDecodeRate),
+                    in, stripe);
+    traceSpan(req, trace::Stage::EcDecode, start);
+}
 
-    const ec::RsCodec &codec = ecCodec(config_);
-    const unsigned k = codec.k();
-    const auto candidates = readCandidates(config_, msg);
-    SMARTDS_CHECK(candidates.size() >= k,
-                  "EC read needs %u storage nodes, have %zu", k,
-                  candidates.size());
-    const std::size_t ring_start = rng_.below(candidates.size());
+sim::Task
+CpuOnlyServer::cacheHit(const net::Message &)
+{
+    // The plaintext is already in host memory: one request's software
+    // cost, then the reply DMA reads it.
+    co_await cores_.executeAsync(calibration::hostPerRequestSoftwareCost);
+}
 
-    // Shard-size hint for timing-mode storage synthesis: the client's
-    // compressed-size hint (or compressibility estimate) split k ways.
-    const Bytes stripe_hint = std::max<Bytes>(
-        msg.payload.size
-            ? msg.payload.size
-            : static_cast<Bytes>(
-                  static_cast<double>(msg.payload.originalSize) *
-                  msg.payload.compressibility),
-        1);
-    const Bytes shard_hint = ec::RsCodec::shardSize(stripe_hint, k);
+void
+CpuOnlyServer::toStorage(unsigned, unsigned, net::Message msg, bool first)
+{
+    // The first replica read misses the LLC (the compressed block is
+    // fetched once from memory); the remaining sends hit.
+    nic_->setTxDmaOptions({first ? txRead_ : nullptr, first});
+    nic_->sendFromHost(std::move(msg));
+}
 
-    // Collected shards: index + reply (bytes in functional mode).
-    std::vector<unsigned> shard_idx;
-    std::vector<net::Message> shard_msgs;
-    bool degraded = false;
-    const Tick collect_start = sim_.now();
-    for (std::size_t a = 0;
-         a < candidates.size() && shard_idx.size() < k;
-         ++a) {
-        const net::NodeId target =
-            candidates[(ring_start + a) % candidates.size()];
-        net::Message fetch;
-        fetch.dst = target;
-        fetch.kind = net::MessageKind::ReadFetch;
-        fetch.headerBytes = StorageHeader::wireSize;
-        fetch.tag = msg.tag;
-        fetch.issueTick = msg.issueTick;
-        fetch.payload.size = shard_hint;
-        fetch.payload.compressibility = msg.payload.compressibility;
-        fetch.payload.originalSize = msg.payload.originalSize;
-        fetch.payload.ecK = static_cast<std::uint8_t>(k);
-        fetch.payload.ecM = static_cast<std::uint8_t>(codec.m());
-        fetch.payload.ecShard = static_cast<std::uint8_t>(
-            std::min<std::size_t>(shard_idx.size(), codec.n() - 1));
-        fetch.payload.ecStripeBytes = stripe_hint;
-        fetch.trace = tctx;
-
-        sim::Completion fetched =
-            expectFetch(sim_, msg.tag, config_.failover.ackTimeout);
-        nic_->setTxDmaOptions({nullptr, false});
-        nic_->sendFromHost(std::move(fetch));
-        if (co_await fetched == 0) {
-            ++failover_.readFailovers;
-            degraded = true;
-            if (health_.noteTimeout(target))
-                ++failover_.nodesSuspected;
-            continue;
-        }
-        health_.noteAck(target);
-
-        net::Message candidate = takeFetchReply(msg.tag);
-
-        if (candidate.payload.ecK == 0) {
-            // Functional mode: this node holds no shard of the stripe
-            // (the stub reply) — normal when probing the whole pool.
-            degraded = true;
-            continue;
-        }
-        if (candidate.payload.corrupted ||
-            (candidate.payload.data &&
-             xxhash32(*candidate.payload.data) !=
-                 candidate.payload.ecShardChecksum)) {
-            ++failover_.corruptionsDetected;
-            ++failover_.readFailovers;
-            degraded = true;
-            continue;
-        }
-        const unsigned idx = candidate.payload.ecShard;
-        if (std::find(shard_idx.begin(), shard_idx.end(), idx) !=
-            shard_idx.end())
-            continue; // duplicate shard index (repaired copy)
-        shard_idx.push_back(idx);
-        shard_msgs.push_back(std::move(candidate));
-    }
-    if (tracer && tctx)
-        tracer->record(tctx, trace::Stage::DegradedRead, collect_start,
-                       sim_.now(),
-                       static_cast<std::uint32_t>(shard_idx.size()));
-
-    const bool have = shard_idx.size() >= k;
-    bool corrupt = !have;
-    if (!have)
-        ++failover_.readsUnserved;
-
-    // Reassemble the stripe. The concat fast path (all data shards) is
-    // plain memory movement; a parity decode pays the GF(256) math.
-    const bool systematic =
-        have && std::all_of(shard_idx.begin(), shard_idx.end(),
-                            [k](unsigned i) { return i < k; });
-    if (have && !systematic)
-        degraded = true;
-    if (degraded && have)
-        ++failover_.degradedReads;
-
-    const Bytes stripe_bytes = std::max<Bytes>(
-        have ? shard_msgs.front().payload.ecStripeBytes : stripe_hint, 1);
-    const Bytes shard_bytes = ec::RsCodec::shardSize(stripe_bytes, k);
-
-    std::shared_ptr<const std::vector<std::uint8_t>> plain_data;
-    net::Message stored; // carries header/meta of one shard
-    if (have)
-        stored = shard_msgs.front();
-    if (have && !systematic) {
-        // Charge the software decode: stream k shards through the core
-        // and write the reconstructed stripe.
-        const Tick decode_start = sim_.now();
-        co_await cores_.acquire();
-        const Tick decode_ticks =
-            calibration::hostPerRequestSoftwareCost +
-            transferTicks(stripe_bytes, calibration::hostEcDecodeRate);
-        auto dec_cpu = sim::timerAsync(sim_, decode_ticks);
-        auto dec_in = sim::transferAsync(
-            sim_, *compressRead_, shard_bytes * static_cast<Bytes>(k));
-        auto dec_out =
-            sim::transferAsync(sim_, *compressWrite_, stripe_bytes);
-        co_await dec_cpu;
-        co_await dec_in;
-        co_await dec_out;
-        cores_.release();
-        if (tracer && tctx)
-            tracer->record(tctx, trace::Stage::EcDecode, decode_start,
-                           sim_.now());
-    }
-    if (have && shard_msgs.front().payload.data) {
-        // Functional reassembly, byte for byte; the recovered stripe is
-        // decompressed and verified against the write-time checksum.
-        const VerifiedBlock recovered =
-            decodeEcStripe(config_, shard_idx, shard_msgs, stripe_bytes);
-        corrupt = recovered.corrupt;
-        plain_data = recovered.plain;
-        if (corrupt) {
-            ++failover_.corruptionsDetected;
-            ++failover_.readsUnserved;
-            if (cacheInvalidate(msg.vmId, msg.blockOffset) && tracer &&
-                tctx)
-                tracer->record(tctx, trace::Stage::CacheInvalidate,
-                               sim_.now(), sim_.now());
-        }
-    }
-
-    // Software decompression of the reassembled stripe, as on the
-    // replicated read path.
-    const Bytes original = std::max<Bytes>(
-        have && stored.payload.originalSize ? stored.payload.originalSize
-                                            : msg.payload.originalSize,
-        1);
-    const Tick cpu_time =
-        calibration::hostPerRequestSoftwareCost +
-        compressTicksPerByte_ * original /
-            static_cast<Tick>(calibration::lz4DecompressSpeedup);
-    const std::uint32_t compute_depth =
-        static_cast<std::uint32_t>(cores_.queueDepth());
-    const Tick compute_start = sim_.now();
-    co_await cores_.acquire();
-    auto cpu = sim::timerAsync(sim_, cpu_time);
-    auto mem_in = sim::transferAsync(sim_, *compressRead_, stripe_bytes);
-    auto mem_out = sim::transferAsync(sim_, *compressWrite_, original);
-    co_await cpu;
-    co_await mem_in;
-    co_await mem_out;
-    cores_.release();
-    if (tracer && tctx)
-        tracer->record(tctx, trace::Stage::HostCompute, compute_start,
-                       sim_.now(), compute_depth);
-
-    // Keep the verified plaintext for future hits on this block.
-    if (have && !corrupt && readCache_)
-        readCache_->insert(msg.vmId, msg.blockOffset,
-                           {original, stored.payload.compressibility,
-                            plain_data});
-
-    net::Message reply;
-    reply.dst = msg.src;
-    reply.dstQp = msg.srcQp;
-    reply.kind = net::MessageKind::ReadReply;
-    reply.headerBytes = StorageHeader::wireSize;
-    reply.tag = msg.tag;
-    reply.issueTick = msg.issueTick;
-    reply.trace = tctx;
-    reply.payload.size = original;
-    reply.payload.data = plain_data;
-    reply.payload.compressibility =
-        have ? stored.payload.compressibility : msg.payload.compressibility;
-    pcie::DmaEngine::Options tx;
-    tx.memFlow = txRead_;
-    tx.stallOnMemory = true;
-    nic_->setTxDmaOptions(tx);
+sim::Task
+CpuOnlyServer::toClient(unsigned, net::Message reply)
+{
+    // A read reply's payload is DMA-read from host memory.
+    const bool data = reply.kind == net::MessageKind::ReadReply;
+    nic_->setTxDmaOptions({data ? txRead_ : nullptr, data});
     nic_->sendFromHost(std::move(reply));
+    co_return;
+}
+
+sim::Task
+CpuOnlyServer::onCore(Tick cpu, Bytes in, Bytes out)
+{
+    co_await cores_.acquire();
+    co_await stream(cpu, in, out);
+    cores_.release();
+}
+
+sim::Task
+CpuOnlyServer::stream(Tick cpu, Bytes in, Bytes out)
+{
+    auto busy = sim::timerAsync(sim_, cpu);
+    auto read = sim::transferAsync(sim_, *compressRead_, in);
+    auto write = sim::transferAsync(sim_, *compressWrite_, out);
+    co_await busy;
+    co_await read;
+    co_await write;
 }
 
 } // namespace smartds::middletier

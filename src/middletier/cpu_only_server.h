@@ -14,18 +14,17 @@
 #define SMARTDS_MIDDLETIER_CPU_ONLY_SERVER_H_
 
 #include <memory>
-#include <unordered_map>
 
 #include "host/core_pool.h"
 #include "mem/memory_system.h"
-#include "middletier/server_base.h"
+#include "middletier/per_request_server.h"
 #include "nic/rdma_nic.h"
 #include "sim/process.h"
 
 namespace smartds::middletier {
 
 /** The traditional software middle tier. */
-class CpuOnlyServer : public MiddleTierServer
+class CpuOnlyServer : public PerRequestServer
 {
   public:
     CpuOnlyServer(net::Fabric &fabric, mem::MemorySystem &memory,
@@ -34,23 +33,35 @@ class CpuOnlyServer : public MiddleTierServer
     net::NodeId frontNode(unsigned port = 0) const override;
     Design design() const override { return Design::CpuOnly; }
     void addUsageProbes(UsageProbes &probes) override;
+    host::CorePool *servingCores() override { return &cores_; }
 
     nic::RdmaNic &nic() { return *nic_; }
     host::CorePool &cores() { return cores_; }
 
   private:
-    void dispatch(net::Message msg);
-    sim::Process serveWrite(net::Message msg);
-    sim::Process serveRead(net::Message msg);
-    sim::Process serveReadEc(net::Message msg);
+    sim::Task parse(const net::Message &req) override;
+    sim::Task compress(WriteJob &w) override;
+    sim::Task ecEncode(WriteJob &w) override;
+    sim::Task decompress(const net::Message &req, Bytes in,
+                         Bytes out) override;
+    sim::Task rsDecode(const net::Message &req, Bytes in,
+                       Bytes stripe) override;
+    sim::Task cacheHit(const net::Message &req) override;
+    void toStorage(unsigned port, unsigned lane, net::Message msg,
+                   bool first) override;
+    sim::Task toClient(unsigned port, net::Message reply) override;
 
-    sim::Simulator &sim_;
-    net::Fabric &fabric_;
+    /**
+     * Hold a core for @p cpu while streaming @p in bytes from and @p out
+     * bytes to host memory; the step ends when all three are done.
+     */
+    sim::Task onCore(Tick cpu, Bytes in, Bytes out);
+    /** The streaming half of onCore(), on a core already held. */
+    sim::Task stream(Tick cpu, Bytes in, Bytes out);
+
     mem::MemorySystem &memory_;
-    ServerConfig config_;
     std::unique_ptr<nic::RdmaNic> nic_;
     host::CorePool cores_;
-    Rng rng_;
     /** Software compression time for one block on one configured core. */
     Tick compressTicksPerByte_;
 

@@ -38,6 +38,10 @@ namespace smartds::corpus {
 class BlockCodecCache;
 }
 
+namespace smartds::host {
+class CorePool;
+}
+
 namespace smartds::middletier {
 
 class MaintenanceService;
@@ -250,6 +254,13 @@ class MiddleTierServer
     const NodeHealthView &nodeHealth() const { return health_; }
 
     /**
+     * The cores that serve requests, for maintenance that shares them
+     * (ExperimentConfig::Maintenance::SharedCores); null when the design
+     * gives maintenance a pool of its own.
+     */
+    virtual host::CorePool *servingCores() { return nullptr; }
+
+    /**
      * Background repair sink for abandoned replicas (quorum mode). Set
      * after construction because the maintenance service shares the
      * server's core pool and is built second.
@@ -337,6 +348,55 @@ class MiddleTierServer
     cacheInvalidate(std::uint64_t vm_id, std::uint64_t block_offset)
     {
         return readCache_ && readCache_->invalidate(vm_id, block_offset);
+    }
+
+    /**
+     * Drop @p req's block from the read cache, recording a
+     * CacheInvalidate span at @p now when an entry was dropped.
+     */
+    void
+    invalidateCached(const net::Message &req, trace::Tracer *tracer,
+                     Tick now)
+    {
+        if (cacheInvalidate(req.vmId, req.blockOffset) && tracer)
+            tracer->record(req.trace, trace::Stage::CacheInvalidate, now,
+                           now);
+    }
+
+    /**
+     * A read probe of @p target went unanswered — or, when @p stale, was
+     * answered for an earlier wait: count the failover and, for a silent
+     * node, strike its health.
+     */
+    void
+    noteFetchMiss(net::NodeId target, bool stale = false)
+    {
+        ++failover_.readFailovers;
+        if (stale)
+            ++failover_.staleAcks;
+        else if (health_.noteTimeout(target))
+            ++failover_.nodesSuspected;
+    }
+
+    /** A fetched replica or shard failed verification; try another. */
+    void
+    noteCorruptFetch()
+    {
+        ++failover_.corruptionsDetected;
+        ++failover_.readFailovers;
+    }
+
+    /**
+     * A reassembled stripe failed verification: the read goes unserved
+     * and @p req's cached copy is dropped.
+     */
+    void
+    noteCorruptStripe(const net::Message &req, trace::Tracer *tracer,
+                      Tick now)
+    {
+        ++failover_.corruptionsDetected;
+        ++failover_.readsUnserved;
+        invalidateCached(req, tracer, now);
     }
 
     /**

@@ -172,15 +172,10 @@ SmartDsServer::worker(unsigned port)
             out.encodeInto(h_send->bytes()->data());
         }
 
-        if (req.kind == net::MessageKind::ReadRequest &&
-            config_.policy == ReplicationPolicy::ErasureCode) {
-            // --- EC read: gather any k shards, decode on-card, reply ----
-            // Each shard probe reuses the fetch QP timeout/reset idiom of
-            // the replicated read path below; the RS engine reassembles
-            // the stripe in HBM and the LZ4 engine decompresses it.
-            // Hot-block cache in HBM: a hit serves the verified plaintext
-            // with one device-DRAM read — no shard gather, no RS decode,
-            // no decompression.
+        if (req.kind == net::MessageKind::ReadRequest) {
+            // Hot-block cache: a hit serves the verified plaintext with
+            // one device-DRAM read (HBM placement) or one request's host
+            // cost — no fetch round trip, no RS decode, no decompression.
             if (readCache_) {
                 if (const HotBlockCache::Entry *hit =
                         readCache_->lookup(req.vmId, req.blockOffset)) {
@@ -221,159 +216,231 @@ SmartDsServer::worker(unsigned port)
                     tracer->record(tctx, trace::Stage::CacheMiss, sim_.now(),
                                    sim_.now());
             }
-            const ec::RsCodec &codec = ecCodec(config_);
-            const unsigned k = codec.k();
-            const unsigned n = codec.n();
-            const auto candidates = readCandidates(config_, req);
-            SMARTDS_CHECK(candidates.size() >= k,
-                           "EC read needs %u storage nodes, have %zu", k,
-                           candidates.size());
-            const std::size_t ring_start = rng_.below(candidates.size());
-            const Bytes stripe_hint =
-                req.payload.size
-                    ? req.payload.size
-                    : static_cast<Bytes>(
-                          static_cast<double>(req.payload.originalSize) *
-                          req.payload.compressibility);
-            Tick timeout = config_.failover.ackTimeout;
-            bool degraded = false;
-            std::vector<std::pair<unsigned, device::BufferRef>> got;
-            std::vector<bool> have_idx(n, false);
-            Bytes shard_sz = 0;
-            Bytes stripe_bytes = 0;
-            const Tick collect_start = sim_.now();
-            for (std::size_t a = 0;
-                 a < candidates.size() && got.size() < k; ++a) {
-                const net::NodeId target =
-                    candidates[(ring_start + a) % candidates.size()];
-                device_->resetQp(fetch_qp);
-                device_->connect(fetch_qp, target, 0);
-                device::BufferRef dest = d_shards[got.size()];
-                auto fetch_reply = device_->mixedRecv(
-                    fetch_qp, h_fetch, StorageHeader::wireSize, dest,
-                    dest->capacity());
-                d_hint->content = device::BufferContent{};
-                d_hint->content.compressibility = 0.0;
-                d_hint->content.originalSize = req.payload.originalSize;
-                d_hint->content.ecK = static_cast<std::uint8_t>(k);
-                d_hint->content.ecM = static_cast<std::uint8_t>(codec.m());
-                d_hint->content.ecShard = static_cast<std::uint8_t>(
-                    std::min<std::size_t>(got.size(), n - 1));
-                d_hint->content.ecStripeBytes = stripe_hint;
-                auto fetch = device_->mixedSend(
-                    fetch_qp, h_send, StorageHeader::wireSize, d_hint, 0,
-                    net::MessageKind::ReadFetch, tag, req.issueTick, tctx);
-                co_await fetch.completion;
-                sim::EventHandle timer;
-                if (timeout > 0)
-                    timer = sim_.schedule(
-                        timeout,
-                        [this, &fetch_qp]() {
-                            device_->resetQp(fetch_qp);
-                        },
-                        sim::EventTag::Nic);
-                co_await fetch_reply.completion;
-                timer.cancel();
-                const net::Message *rep = fetch_reply.message.get();
-                if (!rep ||
-                    rep->kind != net::MessageKind::ReadFetchReply ||
-                    rep->tag != tag) {
-                    if (rep &&
-                        rep->kind == net::MessageKind::ReadFetchReply)
-                        ++failover_.staleAcks;
-                    else if (health_.noteTimeout(target))
-                        ++failover_.nodesSuspected;
-                    ++failover_.readFailovers;
-                    degraded = true;
-                    timeout = std::min(timeout * 2,
-                                       config_.failover.ackTimeoutCap);
-                    continue;
-                }
-                health_.noteAck(target);
-                if (rep->payload.ecK == 0) {
-                    // Functional stub: this node holds no shard.
-                    degraded = true;
-                    continue;
-                }
-                // Scrub the shard with the checksum engine before use.
-                auto scrub = device_->devFunc(
-                    dest, fetch_reply.size(), d_recv, d_recv->capacity(),
-                    port, device::EngineOp::Checksum, tctx);
-                co_await scrub.completion;
-                bool shard_corrupt = rep->payload.corrupted;
-                if (dest->bytes())
-                    shard_corrupt =
-                        shard_corrupt || scrub.completion.value() !=
-                                             rep->payload.ecShardChecksum;
-                if (shard_corrupt) {
-                    ++failover_.corruptionsDetected;
-                    ++failover_.readFailovers;
-                    if (cacheInvalidate(req.vmId, req.blockOffset) &&
-                        tracer && tctx)
-                        tracer->record(tctx, trace::Stage::CacheInvalidate,
-                                       sim_.now(), sim_.now());
-                    degraded = true;
-                    continue;
-                }
-                const unsigned idx = rep->payload.ecShard;
-                if (idx >= n || have_idx[idx])
-                    continue; // duplicate shard (repaired copy)
-                have_idx[idx] = true;
-                shard_sz = fetch_reply.size();
-                if (rep->payload.ecStripeBytes)
-                    stripe_bytes = rep->payload.ecStripeBytes;
-                got.emplace_back(idx, dest);
-            }
-            if (tracer && tctx)
-                tracer->record(tctx, trace::Stage::DegradedRead,
-                               collect_start, sim_.now(),
-                               static_cast<std::uint32_t>(got.size()));
-
-            const bool have = got.size() >= k;
-            bool systematic = have;
-            for (std::size_t i = 0; i < got.size(); ++i)
-                systematic = systematic && got[i].first < k;
-            if (have && !systematic)
-                degraded = true;
-            if (degraded && have)
-                ++failover_.degradedReads;
 
             bool served = false;
             Bytes plain_size = 0;
-            if (have) {
-                if (stripe_bytes == 0)
-                    stripe_bytes = shard_sz * static_cast<Bytes>(k);
-                auto decoded = device_->ecDecode(got, stripe_bytes, d_send,
-                                                 port, k, codec.m(), tctx);
-                co_await decoded.completion;
-                auto plain = device_->devFunc(
-                    d_send, stripe_bytes, d_recv, d_recv->capacity(), port,
-                    device::EngineOp::Decompress, tctx);
-                co_await plain.completion;
-                bool corrupt = d_recv->content.corrupted;
-                if (!corrupt && device_->config().functional &&
-                    d_recv->bytes() && h_fetch->bytes()) {
-                    const StorageHeader stored =
-                        StorageHeader::decode(h_fetch->bytes()->data());
-                    corrupt =
-                        stored.blockChecksum != 0 &&
-                        xxhash32(d_recv->bytes()->data(), plain.size()) !=
-                            stored.blockChecksum;
+            Tick timeout = config_.failover.ackTimeout;
+            if (config_.policy == ReplicationPolicy::ErasureCode) {
+                // --- EC read: gather any k shards, decode on-card -------
+                // Each shard probe reuses the fetch QP timeout/reset idiom
+                // of the replicated read path below; the RS engine
+                // reassembles the stripe in HBM and the LZ4 engine
+                // decompresses it.
+                const ec::RsCodec &codec = ecCodec(config_);
+                const unsigned k = codec.k();
+                const unsigned n = codec.n();
+                const auto candidates = readCandidates(config_, req);
+                SMARTDS_CHECK(candidates.size() >= k,
+                              "EC read needs %u storage nodes, have %zu", k,
+                              candidates.size());
+                const std::size_t ring_start = rng_.below(candidates.size());
+                const Bytes stripe_hint =
+                    req.payload.size
+                        ? req.payload.size
+                        : static_cast<Bytes>(
+                              static_cast<double>(req.payload.originalSize) *
+                              req.payload.compressibility);
+                bool degraded = false;
+                std::vector<std::pair<unsigned, device::BufferRef>> got;
+                std::vector<bool> have_idx(n, false);
+                Bytes shard_sz = 0;
+                Bytes stripe_bytes = 0;
+                const Tick collect_start = sim_.now();
+                for (std::size_t a = 0;
+                     a < candidates.size() && got.size() < k; ++a) {
+                    const net::NodeId target =
+                        candidates[(ring_start + a) % candidates.size()];
+                    device_->resetQp(fetch_qp);
+                    device_->connect(fetch_qp, target, 0);
+                    device::BufferRef dest = d_shards[got.size()];
+                    auto fetch_reply = device_->mixedRecv(
+                        fetch_qp, h_fetch, StorageHeader::wireSize, dest,
+                        dest->capacity());
+                    d_hint->content = device::BufferContent{};
+                    d_hint->content.compressibility = 0.0;
+                    d_hint->content.originalSize = req.payload.originalSize;
+                    d_hint->content.ecK = static_cast<std::uint8_t>(k);
+                    d_hint->content.ecM = static_cast<std::uint8_t>(codec.m());
+                    d_hint->content.ecShard = static_cast<std::uint8_t>(
+                        std::min<std::size_t>(got.size(), n - 1));
+                    d_hint->content.ecStripeBytes = stripe_hint;
+                    auto fetch = device_->mixedSend(
+                        fetch_qp, h_send, StorageHeader::wireSize, d_hint, 0,
+                        net::MessageKind::ReadFetch, tag, req.issueTick,
+                        tctx);
+                    co_await fetch.completion;
+                    sim::EventHandle timer;
+                    if (timeout > 0)
+                        timer = sim_.schedule(
+                            timeout,
+                            [this, &fetch_qp]() {
+                                device_->resetQp(fetch_qp);
+                            },
+                            sim::EventTag::Nic);
+                    co_await fetch_reply.completion;
+                    timer.cancel();
+                    const net::Message *rep = fetch_reply.message.get();
+                    if (!rep ||
+                        rep->kind != net::MessageKind::ReadFetchReply ||
+                        rep->tag != tag) {
+                        noteFetchMiss(target,
+                                      rep && rep->kind ==
+                                                 net::MessageKind::
+                                                     ReadFetchReply);
+                        degraded = true;
+                        timeout = std::min(timeout * 2,
+                                           config_.failover.ackTimeoutCap);
+                        continue;
+                    }
+                    health_.noteAck(target);
+                    if (rep->payload.ecK == 0) {
+                        // Functional stub: this node holds no shard.
+                        degraded = true;
+                        continue;
+                    }
+                    // Scrub the shard with the checksum engine before use.
+                    auto scrub = device_->devFunc(
+                        dest, fetch_reply.size(), d_recv, d_recv->capacity(),
+                        port, device::EngineOp::Checksum, tctx);
+                    co_await scrub.completion;
+                    bool shard_corrupt = rep->payload.corrupted;
+                    if (dest->bytes())
+                        shard_corrupt = shard_corrupt ||
+                                        scrub.completion.value() !=
+                                            rep->payload.ecShardChecksum;
+                    if (shard_corrupt) {
+                        noteCorruptFetch();
+                        invalidateCached(req, tracer, sim_.now());
+                        degraded = true;
+                        continue;
+                    }
+                    const unsigned idx = rep->payload.ecShard;
+                    if (idx >= n || have_idx[idx])
+                        continue; // duplicate shard (repaired copy)
+                    have_idx[idx] = true;
+                    shard_sz = fetch_reply.size();
+                    if (rep->payload.ecStripeBytes)
+                        stripe_bytes = rep->payload.ecStripeBytes;
+                    got.emplace_back(idx, dest);
                 }
-                if (corrupt) {
-                    ++failover_.corruptionsDetected;
+                if (tracer && tctx)
+                    tracer->record(tctx, trace::Stage::DegradedRead,
+                                   collect_start, sim_.now(),
+                                   static_cast<std::uint32_t>(got.size()));
+
+                const bool have = got.size() >= k;
+                bool systematic = have;
+                for (std::size_t i = 0; i < got.size(); ++i)
+                    systematic = systematic && got[i].first < k;
+                if (have && (degraded || !systematic))
+                    ++failover_.degradedReads;
+                if (!have) {
                     ++failover_.readsUnserved;
-                    if (cacheInvalidate(req.vmId, req.blockOffset) &&
-                        tracer && tctx)
-                        tracer->record(tctx, trace::Stage::CacheInvalidate,
-                                       sim_.now(), sim_.now());
                 } else {
+                    if (stripe_bytes == 0)
+                        stripe_bytes = shard_sz * static_cast<Bytes>(k);
+                    auto decoded = device_->ecDecode(got, stripe_bytes,
+                                                     d_send, port, k,
+                                                     codec.m(), tctx);
+                    co_await decoded.completion;
+                    auto plain = device_->devFunc(
+                        d_send, stripe_bytes, d_recv, d_recv->capacity(),
+                        port, device::EngineOp::Decompress, tctx);
+                    co_await plain.completion;
+                    bool corrupt = d_recv->content.corrupted;
+                    if (!corrupt && device_->config().functional &&
+                        d_recv->bytes() && h_fetch->bytes()) {
+                        const StorageHeader stored =
+                            StorageHeader::decode(h_fetch->bytes()->data());
+                        corrupt = stored.blockChecksum != 0 &&
+                                  xxhash32(d_recv->bytes()->data(),
+                                           plain.size()) !=
+                                      stored.blockChecksum;
+                    }
+                    if (corrupt) {
+                        noteCorruptStripe(req, tracer, sim_.now());
+                    } else {
+                        plain_size = plain.size();
+                        served = true;
+                    }
+                }
+            } else {
+                // --- Replicated read (Fig. 3b): fetch, decompress -------
+                // A fetch that times out resets the QP (flushing the
+                // posted receive) and fails over to another replica; a
+                // fetched block whose engine decode or checksum fails does
+                // the same.
+                const auto candidates = readCandidates(config_, req);
+                const std::size_t start =
+                    candidates.empty() ? 0 : rng_.below(candidates.size());
+                for (std::size_t i = 0; i < candidates.size() && !served;
+                     ++i) {
+                    const net::NodeId target =
+                        candidates[(start + i) % candidates.size()];
+                    device_->resetQp(fetch_qp);
+                    device_->connect(fetch_qp, target, 0);
+                    auto fetch_reply = device_->mixedRecv(
+                        fetch_qp, h_fetch, StorageHeader::wireSize, d_send,
+                        d_send->capacity());
+                    auto fetch = device_->mixedSend(
+                        fetch_qp, h_send, StorageHeader::wireSize, nullptr,
+                        0, net::MessageKind::ReadFetch, tag, req.issueTick,
+                        tctx);
+                    co_await fetch.completion;
+                    sim::EventHandle timer;
+                    if (timeout > 0)
+                        timer = sim_.schedule(
+                            timeout,
+                            [this, &fetch_qp]() {
+                                device_->resetQp(fetch_qp);
+                            },
+                            sim::EventTag::Nic);
+                    co_await fetch_reply.completion;
+                    timer.cancel();
+                    const net::Message *rep = fetch_reply.message.get();
+                    if (!rep ||
+                        rep->kind != net::MessageKind::ReadFetchReply ||
+                        rep->tag != tag) {
+                        // Timed out (flush) or a stale reply from a
+                        // previous attempt: strike the node, try the next
+                        // replica.
+                        noteFetchMiss(target,
+                                      rep && rep->kind ==
+                                                 net::MessageKind::
+                                                     ReadFetchReply);
+                        timeout = std::min(timeout * 2,
+                                           config_.failover.ackTimeoutCap);
+                        continue;
+                    }
+                    health_.noteAck(target);
+
+                    auto plain = device_->devFunc(
+                        d_send, fetch_reply.size(), d_recv,
+                        d_recv->capacity(), port,
+                        device::EngineOp::Decompress, tctx);
+                    co_await plain.completion;
+                    bool corrupt = d_recv->content.corrupted;
+                    if (!corrupt && device_->config().functional &&
+                        d_recv->bytes() && h_fetch->bytes()) {
+                        const StorageHeader stored =
+                            StorageHeader::decode(h_fetch->bytes()->data());
+                        corrupt = xxhash32(d_recv->bytes()->data(),
+                                           plain.size()) !=
+                                  stored.blockChecksum;
+                    }
+                    if (corrupt) {
+                        noteCorruptFetch();
+                        invalidateCached(req, tracer, sim_.now());
+                        continue;
+                    }
                     plain_size = plain.size();
                     served = true;
                 }
-            } else {
-                ++failover_.readsUnserved;
+                if (!served)
+                    ++failover_.readsUnserved;
             }
+
+            // Keep the verified plaintext for future hits, then reply.
             if (served && readCache_) {
                 std::shared_ptr<const std::vector<std::uint8_t>> plain_bytes;
                 if (d_recv->bytes())
@@ -387,152 +454,6 @@ SmartDsServer::worker(unsigned port)
                                     d_recv->content.compressibility,
                                     std::move(plain_bytes)});
             }
-
-            device_->connect(reply_qp, req.src, req.srcQp);
-            auto reply = device_->mixedSend(
-                reply_qp, h_send, StorageHeader::wireSize,
-                served ? d_recv : nullptr, plain_size,
-                net::MessageKind::ReadReply, tag, req.issueTick, tctx);
-            co_await reply.completion;
-            continue;
-        }
-
-        if (req.kind == net::MessageKind::ReadRequest) {
-            // --- Read path (Fig. 3b): fetch, decompress on-card, reply -
-            // A fetch that times out resets the QP (flushing the posted
-            // receive) and fails over to another replica; a fetched block
-            // whose engine decode or checksum fails does the same.
-            // Hot-block cache in HBM: a hit serves the verified plaintext
-            // with one device-DRAM read, skipping the fetch round trip
-            // and the decompression engine.
-            if (readCache_) {
-                if (const HotBlockCache::Entry *hit =
-                        readCache_->lookup(req.vmId, req.blockOffset)) {
-                    // Snapshot the entry: the lookup pointer dies if
-                    // another worker touches the cache while we are
-                    // suspended below.
-                    const HotBlockCache::Entry cached = *hit;
-                    const Tick hit_start = sim_.now();
-                    if (cacheFlow_) {
-                        sim::Completion cache_read(sim_);
-                        cacheFlow_->transfer(cached.plainSize,
-                                             [cache_read]() mutable {
-                                                 cache_read.complete(0);
-                                             });
-                        co_await cache_read;
-                    } else {
-                        co_await cores_.executeAsync(
-                            calibration::smartdsHostRequestCost);
-                    }
-                    if (d_recv->bytes() && cached.plain)
-                        std::copy(cached.plain->begin(), cached.plain->end(),
-                                  d_recv->bytes()->begin());
-                    d_recv->content = device::BufferContent{};
-                    d_recv->content.size = cached.plainSize;
-                    d_recv->content.compressibility = cached.compressibility;
-                    if (tracer && tctx)
-                        tracer->record(tctx, trace::Stage::CacheHit,
-                                       hit_start, sim_.now());
-                    device_->connect(reply_qp, req.src, req.srcQp);
-                    auto reply = device_->mixedSend(
-                        reply_qp, h_send, StorageHeader::wireSize, d_recv,
-                        cached.plainSize, net::MessageKind::ReadReply, tag,
-                        req.issueTick, tctx);
-                    co_await reply.completion;
-                    continue;
-                }
-                if (tracer && tctx)
-                    tracer->record(tctx, trace::Stage::CacheMiss, sim_.now(),
-                                   sim_.now());
-            }
-            const auto candidates = readCandidates(config_, req);
-            const std::size_t start =
-                candidates.empty() ? 0 : rng_.below(candidates.size());
-            Tick timeout = config_.failover.ackTimeout;
-            bool served = false;
-            Bytes plain_size = 0;
-            for (std::size_t i = 0; i < candidates.size() && !served; ++i) {
-                const net::NodeId target =
-                    candidates[(start + i) % candidates.size()];
-                device_->resetQp(fetch_qp);
-                device_->connect(fetch_qp, target, 0);
-                auto fetch_reply = device_->mixedRecv(
-                    fetch_qp, h_fetch, StorageHeader::wireSize, d_send,
-                    d_send->capacity());
-                auto fetch = device_->mixedSend(
-                    fetch_qp, h_send, StorageHeader::wireSize, nullptr, 0,
-                    net::MessageKind::ReadFetch, tag, req.issueTick, tctx);
-                co_await fetch.completion;
-                sim::EventHandle timer;
-                if (timeout > 0)
-                    timer = sim_.schedule(
-                        timeout,
-                        [this, &fetch_qp]() {
-                            device_->resetQp(fetch_qp);
-                        },
-                        sim::EventTag::Nic);
-                co_await fetch_reply.completion;
-                timer.cancel();
-                const net::Message *rep = fetch_reply.message.get();
-                if (!rep ||
-                    rep->kind != net::MessageKind::ReadFetchReply ||
-                    rep->tag != tag) {
-                    // Timed out (flush) or a stale reply from a previous
-                    // attempt: strike the node, try the next replica.
-                    if (rep && rep->kind == net::MessageKind::ReadFetchReply)
-                        ++failover_.staleAcks;
-                    else if (health_.noteTimeout(target))
-                        ++failover_.nodesSuspected;
-                    ++failover_.readFailovers;
-                    timeout = std::min(timeout * 2,
-                                       config_.failover.ackTimeoutCap);
-                    continue;
-                }
-                health_.noteAck(target);
-                const Bytes stored_size = fetch_reply.size();
-
-                auto plain = device_->devFunc(d_send, stored_size, d_recv,
-                                              d_recv->capacity(), port,
-                                              device::EngineOp::Decompress,
-                                              tctx);
-                co_await plain.completion;
-
-                bool corrupt = d_recv->content.corrupted;
-                if (!corrupt && device_->config().functional &&
-                    d_recv->bytes() && h_fetch->bytes()) {
-                    const StorageHeader stored =
-                        StorageHeader::decode(h_fetch->bytes()->data());
-                    corrupt = xxhash32(d_recv->bytes()->data(),
-                                       plain.size()) != stored.blockChecksum;
-                }
-                if (corrupt) {
-                    ++failover_.corruptionsDetected;
-                    ++failover_.readFailovers;
-                    if (cacheInvalidate(req.vmId, req.blockOffset) &&
-                        tracer && tctx)
-                        tracer->record(tctx, trace::Stage::CacheInvalidate,
-                                       sim_.now(), sim_.now());
-                    continue;
-                }
-                plain_size = plain.size();
-                served = true;
-            }
-            if (!served)
-                ++failover_.readsUnserved;
-            if (served && readCache_) {
-                std::shared_ptr<const std::vector<std::uint8_t>> plain_bytes;
-                if (d_recv->bytes())
-                    plain_bytes =
-                        std::make_shared<const std::vector<std::uint8_t>>(
-                            d_recv->bytes()->begin(),
-                            d_recv->bytes()->begin() +
-                                static_cast<std::ptrdiff_t>(plain_size));
-                readCache_->insert(req.vmId, req.blockOffset,
-                                   {plain_size,
-                                    d_recv->content.compressibility,
-                                    std::move(plain_bytes)});
-            }
-
             device_->connect(reply_qp, req.src, req.srcQp);
             auto reply = device_->mixedSend(
                 reply_qp, h_send, StorageHeader::wireSize,
@@ -545,11 +466,7 @@ SmartDsServer::worker(unsigned port)
         // --- Write path (Listing 1) -------------------------------------
         // Write-through coherence: drop the cached copy before serving
         // the write, so no concurrent read can hit stale bytes.
-        if (cacheInvalidate(req.vmId, req.blockOffset)) {
-            if (tracer && tctx)
-                tracer->record(tctx, trace::Stage::CacheInvalidate,
-                               sim_.now(), sim_.now());
-        }
+        invalidateCached(req, tracer, sim_.now());
         device::BufferRef send_buf = d_recv;
         Bytes send_size = payload_size;
         if (!latency_sensitive) {

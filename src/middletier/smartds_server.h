@@ -52,6 +52,7 @@ class SmartDsServer : public MiddleTierServer
     unsigned frontPorts() const override { return smartds_.ports; }
     Design design() const override { return Design::SmartDs; }
     void addUsageProbes(UsageProbes &probes) override;
+    host::CorePool *servingCores() override { return &cores_; }
 
     device::SmartDsDevice &smartNic() { return *device_; }
     host::CorePool &cores() { return cores_; }

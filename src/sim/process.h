@@ -15,6 +15,11 @@
  *   sim::spawn(sim, serveOne(sim, ...));
  * @endcode
  *
+ * A Task is a sub-step such a coroutine awaits (`co_await parse(req)`).
+ * It starts when awaited and resumes its awaiter when it finishes, both
+ * by symmetric transfer, so splitting a request loop into Tasks leaves
+ * its event stream exactly as if the steps were written inline.
+ *
  * Completion mirrors the asynchronous events returned by the SmartDS API
  * (Table 2 of the paper): it carries a 64-bit value (e.g. a byte count)
  * and wakes every awaiting process when complete() is called.
@@ -161,6 +166,22 @@ blockPool()
     return pool;
 }
 
+/** Coroutine promises inherit this to take their frames from the pool. */
+struct PooledFrame
+{
+    static void *
+    operator new(std::size_t size)
+    {
+        return blockPool().allocate(size);
+    }
+
+    static void
+    operator delete(void *p, std::size_t size) noexcept
+    {
+        blockPool().deallocate(p, size);
+    }
+};
+
 } // namespace detail
 
 /**
@@ -170,7 +191,7 @@ blockPool()
 class Process
 {
   public:
-    struct promise_type
+    struct promise_type : detail::PooledFrame
     {
         Process
         get_return_object()
@@ -186,19 +207,6 @@ class Process
         {
             panic("unhandled exception escaped a sim::Process");
         }
-
-        /** Coroutine frames come from the per-thread block pool. */
-        static void *
-        operator new(std::size_t size)
-        {
-            return detail::blockPool().allocate(size);
-        }
-
-        static void
-        operator delete(void *p, std::size_t size) noexcept
-        {
-            detail::blockPool().deallocate(p, size);
-        }
     };
 
     explicit Process(std::coroutine_handle<promise_type> h) : handle_(h) {}
@@ -210,6 +218,79 @@ class Process
         handle_ = nullptr;
         return h;
     }
+
+  private:
+    std::coroutine_handle<promise_type> handle_;
+};
+
+/**
+ * A sub-step a coroutine awaits exactly once: `co_await step(...)`.
+ *
+ * The body does not run until awaited; awaiting transfers control into
+ * it directly, and when it finishes it transfers straight back to the
+ * awaiter. Neither hop schedules a kernel event, so a Task that never
+ * suspends costs no simulated time and no event, and one that does
+ * suspend produces the same event stream as its body written inline in
+ * the awaiter. The frame comes from the per-thread block pool and is
+ * freed when the Task object dies, at the end of the awaiting
+ * expression.
+ */
+class [[nodiscard]] Task
+{
+  public:
+    struct promise_type : detail::PooledFrame
+    {
+        /** The coroutine to resume when this Task finishes. */
+        std::coroutine_handle<> awaiter;
+
+        Task
+        get_return_object()
+        {
+            return Task(
+                std::coroutine_handle<promise_type>::from_promise(*this));
+        }
+        std::suspend_always initial_suspend() noexcept { return {}; }
+        auto
+        final_suspend() noexcept
+        {
+            struct ResumeAwaiter
+            {
+                bool await_ready() const noexcept { return false; }
+                std::coroutine_handle<>
+                await_suspend(std::coroutine_handle<promise_type> h) noexcept
+                {
+                    return h.promise().awaiter;
+                }
+                void await_resume() const noexcept {}
+            };
+            return ResumeAwaiter{};
+        }
+        void return_void() {}
+        void
+        unhandled_exception()
+        {
+            panic("unhandled exception escaped a sim::Task");
+        }
+    };
+
+    explicit Task(std::coroutine_handle<promise_type> h) : handle_(h) {}
+    Task(Task &&other) noexcept : handle_(std::exchange(other.handle_, {}))
+    {
+    }
+    ~Task()
+    {
+        if (handle_)
+            handle_.destroy();
+    }
+
+    bool await_ready() const noexcept { return false; }
+    std::coroutine_handle<>
+    await_suspend(std::coroutine_handle<> awaiter) noexcept
+    {
+        handle_.promise().awaiter = awaiter;
+        return handle_;
+    }
+    void await_resume() const noexcept {}
 
   private:
     std::coroutine_handle<promise_type> handle_;

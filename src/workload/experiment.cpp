@@ -339,19 +339,11 @@ runWriteExperiment(const ExperimentConfig &config)
         mc.burstBytes = config.maintenanceBurstBytes;
         mc.meanInterval = config.maintenanceMeanInterval;
         mc.seed = config.seed + 17;
-        host::CorePool *pool = nullptr;
-        if (config.maintenance ==
-            ExperimentConfig::Maintenance::SharedCores) {
-            // Maintenance contends with the serving path for its cores.
-            if (auto *cpu = dynamic_cast<middletier::CpuOnlyServer *>(
-                    server.get())) {
-                pool = &cpu->cores();
-            } else if (auto *sd =
-                           dynamic_cast<middletier::SmartDsServer *>(
-                               server.get())) {
-                pool = &sd->cores();
-            }
-        }
+        // Shared cores: maintenance contends with the serving path.
+        host::CorePool *pool =
+            config.maintenance == ExperimentConfig::Maintenance::SharedCores
+                ? server->servingCores()
+                : nullptr;
         if (!pool) {
             maintenance_pool = std::make_unique<host::CorePool>(
                 sim, "maintenance.cores", config.maintenanceCores);

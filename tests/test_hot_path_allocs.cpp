@@ -6,7 +6,8 @@
  * dispatch, a cancelled far-future timer, a BandwidthServer transfer, a
  * FairShareResource flow transfer, a 4 KiB DmaEngine read and write, a
  * Port::send to receive hop, a Completion awaited by a Process, a
- * CountLatch join, and a spawned Process run to completion.
+ * CountLatch join, a spawned Process run to completion, and a Task
+ * awaited by a Process.
  * Figure sweeps run hundreds of millions of these, so an allocation that
  * creeps back into one shows up here rather than as a slower benchmark.
  */
@@ -260,6 +261,35 @@ TEST(HotPathAllocs, SpawnedProcessRunsToCompletion)
         sim.run();
     };
     round(); // warm-up: the frames return to the pool as they finish
+    EXPECT_EQ(allocationsDuring(round), 0u);
+    EXPECT_EQ(finished, 32);
+}
+
+sim::Task
+sleepStep(sim::Simulator &sim)
+{
+    co_await sim::delay(sim, 3_ns);
+}
+
+sim::Process
+awaitTwoSteps(sim::Simulator &sim, int &finished)
+{
+    co_await sleepStep(sim);
+    co_await sleepStep(sim);
+    ++finished;
+}
+
+TEST(HotPathAllocs, TaskAwaitedByAProcess)
+{
+    sim::Simulator sim;
+    int finished = 0;
+    // The middle tier's cost hooks: sub-steps a request coroutine awaits.
+    auto round = [&]() {
+        for (int i = 0; i < 16; ++i)
+            sim::spawn(sim, awaitTwoSteps(sim, finished));
+        sim.run();
+    };
+    round(); // warm-up: Task frames return to the pool as they finish
     EXPECT_EQ(allocationsDuring(round), 0u);
     EXPECT_EQ(finished, 32);
 }

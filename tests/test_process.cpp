@@ -1,10 +1,12 @@
 /**
  * @file
  * Unit tests for the coroutine process layer: delays, completions,
- * latches and awaitable adapters.
+ * latches, awaitable adapters and Task sub-steps.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "sim/awaitables.h"
 #include "sim/bandwidth_server.h"
@@ -175,6 +177,119 @@ TEST(Process, ParallelAwaitViaTwoCompletions)
     sim.run();
     // Both started together; total is the max, not the sum.
     EXPECT_EQ(done, 1_us);
+}
+
+/** Two delays as one sub-step. */
+Task
+sleepTwice(Simulator &sim)
+{
+    co_await delay(sim, 10_ns);
+    co_await delay(sim, 20_ns, EventTag::Host);
+}
+
+Process
+awaitSleepTwice(Simulator &sim, Tick *out)
+{
+    co_await sleepTwice(sim);
+    *out = sim.now();
+}
+
+/** sleepTwice()'s body written inline. */
+Process
+inlineSleepTwice(Simulator &sim, Tick *out)
+{
+    co_await delay(sim, 10_ns);
+    co_await delay(sim, 20_ns, EventTag::Host);
+    *out = sim.now();
+}
+
+TEST(Task, AwaitedTaskAddsNoEvent)
+{
+    // Entering the Task and returning to the caller are direct
+    // transfers: the event stream is the inlined body's, event for event.
+    Simulator split;
+    Simulator flat;
+    split.enableStateHash(true);
+    flat.enableStateHash(true);
+    Tick split_done = 0;
+    Tick flat_done = 0;
+    spawn(split, awaitSleepTwice(split, &split_done));
+    spawn(flat, inlineSleepTwice(flat, &flat_done));
+    split.run();
+    flat.run();
+    EXPECT_EQ(split_done, 30_ns);
+    EXPECT_EQ(split_done, flat_done);
+    EXPECT_EQ(split.eventsExecuted(), 3u); // spawn + two delays
+    EXPECT_EQ(split.eventsExecuted(), flat.eventsExecuted());
+    EXPECT_EQ(split.stateHash(), flat.stateHash());
+}
+
+Task
+innerStep(Simulator &sim, std::vector<int> &log)
+{
+    log.push_back(2);
+    co_await delay(sim, 5_ns);
+    log.push_back(3);
+}
+
+Task
+middleStep(Simulator &sim, std::vector<int> &log)
+{
+    log.push_back(1);
+    co_await innerStep(sim, log);
+    co_await innerStep(sim, log);
+    log.push_back(4);
+}
+
+Process
+outerProcess(Simulator &sim, std::vector<int> &log, Tick *out)
+{
+    log.push_back(0);
+    co_await middleStep(sim, log);
+    log.push_back(5);
+    *out = sim.now();
+}
+
+TEST(Task, NestedTasksRunInOrder)
+{
+    Simulator sim;
+    std::vector<int> log;
+    Tick done = 0;
+    spawn(sim, outerProcess(sim, log, &done));
+    sim.run();
+    EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 3, 2, 3, 4, 5}));
+    EXPECT_EQ(done, 10_ns);
+    EXPECT_EQ(sim.eventsExecuted(), 3u); // spawn + two inner delays
+}
+
+Task
+countStep(int &steps)
+{
+    ++steps;
+    co_return;
+}
+
+Process
+awaitCountSteps(Simulator &sim, int &steps, Tick *out)
+{
+    co_await delay(sim, 7_ns);
+    co_await countStep(steps);
+    co_await countStep(steps);
+    *out = sim.now();
+}
+
+TEST(Task, TaskThatNeverSuspendsCostsNothing)
+{
+    // A Task with nothing to wait for runs and returns inside the
+    // caller's own event: no simulated time and no event.
+    Simulator sim;
+    int steps = 0;
+    Tick done = 0;
+    spawn(sim, awaitCountSteps(sim, steps, &done));
+    sim.run();
+    EXPECT_EQ(steps, 2);
+    EXPECT_EQ(done, 7_ns);
+    EXPECT_EQ(sim.eventsExecuted(), 2u); // spawn + the delay
 }
 
 } // namespace
