@@ -411,7 +411,7 @@ class Harness
      * layout. On mismatch, reports the first diverging event window
      * (index, event range, tick range) and aborts. Also writes
      * results/<bench>_statehash.csv with one row per run, so a wrapper
-     * (tests/fig07_determinism.cmake) can diff hashes across deliberately
+     * (tests/layout_determinism.cmake) can diff hashes across deliberately
      * perturbed process layouts.
      */
     void

@@ -30,24 +30,28 @@ CorePool::busyTicks() const
 }
 
 void
-CorePool::execute(Tick duration, std::function<void()> done)
+CorePool::execute(Tick duration, sim::EventCallback done)
 {
-    auto start = [this, duration, done = std::move(done)]() mutable {
-        sim_.schedule(
-            duration,
-            [this, done = std::move(done)]() mutable {
-                done();
-                release();
-            },
-            sim::EventTag::Host);
-    };
     if (busy_ < cores_) {
         accrue();
         ++busy_;
-        start();
+        start(duration, std::move(done));
     } else {
-        waiting_.push_back(std::move(start));
+        waiting_.push(Waiting{std::move(done), duration, false});
     }
+}
+
+void
+CorePool::start(Tick duration, sim::EventCallback done)
+{
+    const std::uint32_t ticket = running_.park(std::move(done));
+    sim_.schedule(
+        duration,
+        [this, ticket]() {
+            running_.take(ticket)();
+            release();
+        },
+        sim::EventTag::Host);
 }
 
 sim::Completion
@@ -69,7 +73,7 @@ CorePool::acquire()
         // Complete via the event queue for deterministic ordering.
         sim_.schedule(0, std::move(grant_fn), sim::EventTag::Host);
     } else {
-        waiting_.push_back(std::move(grant_fn));
+        waiting_.push(Waiting{std::move(grant_fn), 0, true});
     }
     return c;
 }
@@ -80,10 +84,12 @@ CorePool::release()
     SMARTDS_CHECK(busy_ > 0, "core pool '%s' release underflow",
                    name_.c_str());
     if (!waiting_.empty()) {
-        auto next = std::move(waiting_.front());
-        waiting_.pop_front();
+        Waiting next = waiting_.pop();
         // Core stays busy and is handed to the next item.
-        next();
+        if (next.grant)
+            next.fn();
+        else
+            start(next.duration, std::move(next.fn));
     } else {
         accrue();
         --busy_;

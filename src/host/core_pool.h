@@ -14,13 +14,12 @@
 #ifndef SMARTDS_HOST_CORE_POOL_H_
 #define SMARTDS_HOST_CORE_POOL_H_
 
-#include <deque>
-#include <functional>
 #include <string>
 
 #include "common/calibration.h"
 #include "common/time.h"
 #include "common/units.h"
+#include "sim/parking.h"
 #include "sim/process.h"
 #include "sim/simulator.h"
 
@@ -36,7 +35,7 @@ class CorePool
      * Run a work item of @p duration on the next free core, then invoke
      * @p done. Items are served FIFO.
      */
-    void execute(Tick duration, std::function<void()> done);
+    void execute(Tick duration, sim::EventCallback done);
 
     /** Awaitable variant of execute(). */
     sim::Completion executeAsync(Tick duration);
@@ -61,8 +60,22 @@ class CorePool
     Tick busyTicks() const;
 
   private:
+    /**
+     * A queued item: an execute() of @p duration, or an acquire() grant
+     * (@p grant), whose callback then runs as soon as a core frees.
+     */
+    struct Waiting
+    {
+        sim::EventCallback fn;
+        Tick duration = 0;
+        bool grant = false;
+    };
+
     /** Fold the occupancy since the last change into the integral. */
     void accrue();
+
+    /** Hold a core for @p duration, then run @p done and release it. */
+    void start(Tick duration, sim::EventCallback done);
 
     sim::Simulator &sim_;
     std::string name_;
@@ -70,7 +83,13 @@ class CorePool
     unsigned busy_ = 0;
     Tick busyTicks_ = 0;
     Tick lastAccrue_ = 0;
-    std::deque<std::function<void()>> waiting_;
+    sim::Ring<Waiting> waiting_;
+    /**
+     * Callbacks of items holding a core, by slot: the completion event
+     * captures the slot, since a closure holding a callback would not fit
+     * the event's inline buffer.
+     */
+    sim::SlotTable<sim::EventCallback> running_;
 };
 
 /**

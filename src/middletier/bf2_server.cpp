@@ -31,9 +31,11 @@ Bf2Server::Bf2Server(net::Fabric &fabric, ServerConfig config, Bf2Config bf2)
                 dispatch(i, std::move(msg));
                 return;
             }
-            auto parked = std::make_shared<net::Message>(std::move(msg));
-            rxWrite_->transfer(parked->wireBytes(), [this, i, parked]() {
-                dispatch(i, std::move(*parked));
+            const Bytes bytes = msg.wireBytes();
+            fromPorts_.push(Inbound{i, std::move(msg)});
+            rxWrite_->transfer(bytes, [this]() {
+                Inbound in = fromPorts_.pop();
+                dispatch(in.port, std::move(in.msg));
             });
         });
         ports_.push_back(port);
@@ -146,10 +148,12 @@ Bf2Server::toStorage(unsigned port, unsigned lane, net::Message msg, bool)
     const Bytes bytes = msg.kind == net::MessageKind::WriteReplica
                             ? msg.payload.size
                             : StorageHeader::wireSize;
-    auto parked = std::make_shared<net::Message>(std::move(msg));
-    net::Port *out = ports_[(port + lane) % ports_.size()];
-    txRead_->transfer(bytes,
-                      [out, parked]() { out->send(std::move(*parked)); });
+    toStorage_.push(
+        Outbound{ports_[(port + lane) % ports_.size()], std::move(msg)});
+    txRead_->transfer(bytes, [this]() {
+        Outbound out = toStorage_.pop();
+        out.port->send(std::move(out.msg));
+    });
 }
 
 sim::Task

@@ -23,6 +23,7 @@
 #include "net/fabric.h"
 #include "sim/bandwidth_server.h"
 #include "sim/fair_share.h"
+#include "sim/parking.h"
 #include "sim/process.h"
 
 namespace smartds::middletier {
@@ -71,6 +72,20 @@ class Bf2Server : public PerRequestServer
     /** Engine trip: @p in bytes read from DRAM, @p out bytes written. */
     sim::Task onEngine(Bytes in, Bytes work, Bytes out);
 
+    /** A received message waiting for its RX write into DRAM. */
+    struct Inbound
+    {
+        unsigned port = 0;
+        net::Message msg;
+    };
+
+    /** A storage-bound message waiting for its TX read from DRAM. */
+    struct Outbound
+    {
+        net::Port *port = nullptr;
+        net::Message msg;
+    };
+
     Bf2Config bf2_;
     std::vector<net::Port *> ports_;
     sim::FairShareResource devMemory_;
@@ -81,6 +96,13 @@ class Bf2Server : public PerRequestServer
     std::unique_ptr<sim::BandwidthServer> engine_;
     host::CorePool arm_;
     Tick armRequestCost_;
+    /**
+     * Messages inside rxWrite_ and toStorage() messages inside txRead_,
+     * oldest first: a flow's transfers complete in submission order, so
+     * each completion pops its ring's front.
+     */
+    sim::Ring<Inbound> fromPorts_;
+    sim::Ring<Outbound> toStorage_;
 };
 
 } // namespace smartds::middletier

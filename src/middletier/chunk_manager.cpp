@@ -18,6 +18,9 @@ ChunkManager::ChunkManager(Config config,
                    "segment must hold at least one chunk");
     SMARTDS_CHECK(storageNodes_.size() >= config_.replication,
                    "need at least %u storage servers", config_.replication);
+    SMARTDS_CHECK(config_.replication <= ReplicaSet::kMaxReplicas,
+                  "at most %zu replicas per chunk, asked for %u",
+                  ReplicaSet::kMaxReplicas, config_.replication);
 }
 
 ChunkRef
@@ -36,27 +39,25 @@ ChunkManager::locate(std::uint64_t vm_id, std::uint64_t byte_offset) const
 ChunkManager::ChunkState &
 ChunkManager::state(const ChunkRef &chunk, const NodeHealthView *health)
 {
-    auto it = chunks_.find(chunk);
-    if (it == chunks_.end()) {
-        ChunkState fresh;
-        // Partial Fisher-Yates pick of `replication` distinct servers,
-        // steering clear of suspected nodes when a health view is given
-        // (and there are enough healthy nodes to satisfy replication).
-        std::vector<net::NodeId> pool =
-            health ? health->filterHealthy(storageNodes_,
-                                           config_.replication)
-                   : storageNodes_;
-        for (unsigned i = 0; i < config_.replication; ++i) {
-            const std::size_t j = i + rng_.below(pool.size() - i);
-            std::swap(pool[i], pool[j]);
-            fresh.replicas.push_back(pool[i]);
-        }
-        it = chunks_.emplace(chunk, std::move(fresh)).first;
+    if (ChunkState *known = chunks_.find(chunk))
+        return *known;
+    ChunkState fresh;
+    // Partial Fisher-Yates pick of `replication` distinct servers,
+    // steering clear of suspected nodes when a health view is given
+    // (and there are enough healthy nodes to satisfy replication).
+    if (health)
+        pool_ = health->filterHealthy(storageNodes_, config_.replication);
+    else
+        pool_.assign(storageNodes_.begin(), storageNodes_.end());
+    for (unsigned i = 0; i < config_.replication; ++i) {
+        const std::size_t j = i + rng_.below(pool_.size() - i);
+        std::swap(pool_[i], pool_[j]);
+        fresh.replicas.push_back(pool_[i]);
     }
-    return it->second;
+    return *chunks_.tryEmplace(chunk, fresh).first;
 }
 
-const std::vector<net::NodeId> &
+const ReplicaSet &
 ChunkManager::replicas(const ChunkRef &chunk, const NodeHealthView *health)
 {
     return state(chunk, health).replicas;
@@ -66,23 +67,22 @@ bool
 ChunkManager::replaceReplica(const ChunkRef &chunk, net::NodeId from,
                              net::NodeId to)
 {
-    auto it = chunks_.find(chunk);
-    if (it == chunks_.end())
+    ChunkState *s = chunks_.find(chunk);
+    if (!s)
         return false;
-    auto &nodes = it->second.replicas;
+    ReplicaSet &nodes = s->replicas;
     const auto pos = std::find(nodes.begin(), nodes.end(), from);
     if (pos == nodes.end() ||
         std::find(nodes.begin(), nodes.end(), to) != nodes.end())
         return false;
-    *pos = to;
+    nodes.set(static_cast<std::size_t>(pos - nodes.begin()), to);
     ++replacements_;
     return true;
 }
 
 bool
-ChunkManager::recordWrite(const ChunkRef &chunk)
+ChunkManager::countWrite(ChunkState &s)
 {
-    ChunkState &s = state(chunk, nullptr);
     ++s.writesSinceCompaction;
     if (!s.compactionQueued &&
         s.writesSinceCompaction >= config_.compactionThreshold) {
@@ -93,25 +93,39 @@ ChunkManager::recordWrite(const ChunkRef &chunk)
     return false;
 }
 
+bool
+ChunkManager::recordWrite(const ChunkRef &chunk)
+{
+    return countWrite(state(chunk, nullptr));
+}
+
+const ReplicaSet &
+ChunkManager::writeReplicas(const ChunkRef &chunk)
+{
+    ChunkState &s = state(chunk, nullptr);
+    countWrite(s);
+    return s.replicas;
+}
+
 unsigned
 ChunkManager::pendingWrites(const ChunkRef &chunk) const
 {
-    const auto it = chunks_.find(chunk);
-    return it == chunks_.end() ? 0 : it->second.writesSinceCompaction;
+    const ChunkState *s = chunks_.find(chunk);
+    return s ? s->writesSinceCompaction : 0;
 }
 
 void
 ChunkManager::compacted(const ChunkRef &chunk)
 {
-    auto it = chunks_.find(chunk);
-    if (it == chunks_.end())
+    ChunkState *s = chunks_.find(chunk);
+    if (!s)
         return;
-    if (it->second.compactionQueued) {
+    if (s->compactionQueued) {
         SMARTDS_CHECK(compactionsDue_ > 0, "compaction accounting");
         --compactionsDue_;
     }
-    it->second.writesSinceCompaction = 0;
-    it->second.compactionQueued = false;
+    s->writesSinceCompaction = 0;
+    s->compactionQueued = false;
 }
 
 } // namespace smartds::middletier

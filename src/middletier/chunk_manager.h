@@ -16,14 +16,17 @@
 #ifndef SMARTDS_MIDDLETIER_CHUNK_MANAGER_H_
 #define SMARTDS_MIDDLETIER_CHUNK_MANAGER_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/check.h"
 #include "common/random.h"
 #include "common/units.h"
 #include "middletier/node_health.h"
 #include "net/message.h"
+#include "sim/flat_map.h"
 
 namespace smartds::middletier {
 
@@ -42,12 +45,55 @@ struct ChunkRef
 
 struct ChunkRefHash
 {
-    std::size_t
+    std::uint64_t
     operator()(const ChunkRef &c) const
     {
-        return std::hash<std::uint64_t>()(c.segmentId * 131071u +
-                                          c.chunkIndex);
+        return sim::mixBits(c.segmentId * 131071u + c.chunkIndex);
     }
+};
+
+/**
+ * One chunk's replica set, stored inline (no allocation per chunk).
+ * Reads like a small const container of node ids.
+ */
+class ReplicaSet
+{
+  public:
+    /** Widest replica set a chunk may have. */
+    static constexpr std::size_t kMaxReplicas = 8;
+
+    using value_type = net::NodeId;
+    using const_iterator = const net::NodeId *;
+
+    std::size_t size() const { return size_; }
+    const net::NodeId *begin() const { return nodes_.data(); }
+    const net::NodeId *end() const { return nodes_.data() + size_; }
+    net::NodeId operator[](std::size_t i) const { return nodes_[i]; }
+
+    void
+    push_back(net::NodeId n)
+    {
+        SMARTDS_CHECK(size_ < kMaxReplicas, "replica set overflow");
+        nodes_[size_++] = n;
+    }
+
+    /** Replace the node at @p i (replica re-placement). */
+    void set(std::size_t i, net::NodeId n) { nodes_[i] = n; }
+
+    friend bool
+    operator==(const ReplicaSet &a, const ReplicaSet &b)
+    {
+        if (a.size_ != b.size_)
+            return false;
+        for (std::size_t i = 0; i < a.size_; ++i)
+            if (a.nodes_[i] != b.nodes_[i])
+                return false;
+        return true;
+    }
+
+  private:
+    std::array<net::NodeId, kMaxReplicas> nodes_{};
+    std::size_t size_ = 0;
 };
 
 /** LBA -> segment -> chunk mapping plus per-chunk placement and state. */
@@ -76,10 +122,12 @@ class ChunkManager
      * Replica placement for a chunk. Decided on first use (uniform over
      * the storage pool, excluding nodes @p health suspects when given)
      * and sticky thereafter — all writes of a chunk land on the same
-     * three servers until a failure forces a replacement.
+     * three servers until a failure forces a replacement. The reference
+     * is into the chunk table: copy it before the next call that may
+     * place a chunk.
      */
-    const std::vector<net::NodeId> &
-    replicas(const ChunkRef &chunk, const NodeHealthView *health = nullptr);
+    const ReplicaSet &replicas(const ChunkRef &chunk,
+                               const NodeHealthView *health = nullptr);
 
     /**
      * Swap @p from for @p to in the chunk's replica set after @p from
@@ -100,6 +148,14 @@ class ChunkManager
      */
     bool recordWrite(const ChunkRef &chunk);
 
+    /**
+     * recordWrite() and replicas() in one table lookup: the write path's
+     * placement. A chunk first touched here is placed without a health
+     * view, exactly as recordWrite() places it (see placeWrite() in
+     * server_base.cpp). Same reference rule as replicas().
+     */
+    const ReplicaSet &writeReplicas(const ChunkRef &chunk);
+
     /** Writes currently accumulated in @p chunk since last compaction. */
     unsigned pendingWrites(const ChunkRef &chunk) const;
 
@@ -117,17 +173,22 @@ class ChunkManager
   private:
     struct ChunkState
     {
-        std::vector<net::NodeId> replicas;
+        ReplicaSet replicas;
         unsigned writesSinceCompaction = 0;
         bool compactionQueued = false;
     };
 
     ChunkState &state(const ChunkRef &chunk, const NodeHealthView *health);
 
+    /** Count one write to @p s; true when compaction became due. */
+    bool countWrite(ChunkState &s);
+
     Config config_;
     std::vector<net::NodeId> storageNodes_;
     mutable Rng rng_;
-    std::unordered_map<ChunkRef, ChunkState, ChunkRefHash> chunks_;
+    sim::FlatMap<ChunkRef, ChunkState, ChunkRefHash> chunks_;
+    /** Scratch pool for a fresh chunk's draw, kept for its capacity. */
+    std::vector<net::NodeId> pool_;
     std::uint64_t compactionsDue_ = 0;
     std::uint64_t replacements_ = 0;
 };

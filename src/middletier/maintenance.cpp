@@ -76,7 +76,7 @@ MaintenanceService::loop()
 bool
 MaintenanceService::scheduleRepair(RepairKey key, Bytes bytes,
                                    unsigned read_fan_in,
-                                   std::function<void()> resend)
+                                   sim::EventCallback resend)
 {
     if (!inFlight_.insert(key).second) {
         ++deduped_;
@@ -88,7 +88,7 @@ MaintenanceService::scheduleRepair(RepairKey key, Bytes bytes,
 
 sim::Process
 MaintenanceService::repair(RepairKey key, Bytes bytes, unsigned read_fan_in,
-                           std::function<void()> resend)
+                           sim::EventCallback resend)
 {
     // A repair behaves like a miniature compaction burst: one core
     // streams the recovery source back through host memory and re-issues

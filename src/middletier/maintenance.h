@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -109,7 +108,7 @@ class MaintenanceService
      * traced as Reconstruct spans.
      */
     bool scheduleRepair(RepairKey key, Bytes bytes, unsigned read_fan_in,
-                        std::function<void()> resend);
+                        sim::EventCallback resend);
 
     /** Background replica repairs finished so far. */
     std::uint64_t repairsCompleted() const { return repairs_; }
@@ -132,7 +131,7 @@ class MaintenanceService
   private:
     sim::Process loop();
     sim::Process repair(RepairKey key, Bytes bytes, unsigned read_fan_in,
-                        std::function<void()> resend);
+                        sim::EventCallback resend);
 
     sim::Simulator &sim_;
     host::CorePool &pool_;

@@ -175,19 +175,16 @@ PerRequestServer::serveWrite(unsigned port, net::Message msg)
     // --- Replicate to the chosen storage servers ------------------------
     // Each replica (or RS shard) runs its own failover loop (timeout,
     // retry, re-placement); the VM is acknowledged once the quorum is
-    // durable.
-    Placement placement = placeWrite(config_, msg, rng_);
-    auto nodes =
-        std::make_shared<std::vector<net::NodeId>>(std::move(placement.nodes));
-    const unsigned quorum = writeQuorum(config_, nodes->size());
-    auto quorum_acks = std::make_shared<sim::CountLatch>(sim_, quorum);
-    auto all_acks = std::make_shared<sim::CountLatch>(
-        sim_, static_cast<unsigned>(nodes->size()));
+    // durable. The replica messages are parked in the fan-out record,
+    // which the stragglers keep alive after this coroutine returns.
+    WriteFanout &f = openFanout(sim_, config_, msg, rng_, port);
+    const unsigned fanout = static_cast<unsigned>(f.nodes.size());
     const Tick replicate_start = sim_.now();
-    for (unsigned r = 0; r < nodes->size(); ++r) {
+    f.messages.resize(fanout);
+    for (unsigned r = 0; r < fanout; ++r) {
         // Under EC, slot r carries shard r of the stripe; under
         // replication it carries a whole-block copy.
-        net::Message replica;
+        net::Message &replica = f.messages[r];
         replica.kind = net::MessageKind::WriteReplica;
         replica.headerBytes = StorageHeader::wireSize;
         replica.tag = msg.tag;
@@ -198,39 +195,45 @@ PerRequestServer::serveWrite(unsigned port, net::Message msg)
         ReplicaTask task;
         task.tag = msg.tag;
         task.blockBytes = replica.payload.size;
-        task.target = (*nodes)[r];
+        task.target = f.nodes[r];
         task.slot = r;
+        task.fanout = &f;
         task.ec = ec;
         task.vmId = msg.vmId;
         task.blockOffset = msg.blockOffset;
-        task.placement = nodes;
-        task.chunk = placement.chunk;
-        task.chunked = placement.chunked;
-        task.quorumLatch = quorum_acks;
-        task.allLatch = all_acks;
-        task.send = [this, port, r, replica = std::move(replica),
-                     first = r == 0](net::NodeId dst) mutable {
-            net::Message out = replica;
-            out.dst = dst;
-            toStorage(port, r, std::move(out), std::exchange(first, false));
-        };
-        // The send closure is self-contained (it shares the payload
-        // bytes), so a deferred background repair can simply re-run it.
-        task.makeRepair = [send = task.send](net::NodeId dst) {
-            return [send, dst]() mutable { send(dst); };
-        };
-        sim::spawn(sim_,
-                   replicateWithFailover(sim_, rng_, config_,
-                                         std::move(task)));
+        sim::spawn(sim_, replicateWithFailover(sim_, rng_, config_, task));
     }
-    co_await quorum_acks->wait();
-    traceSpan(msg, trace::Stage::Replicate, replicate_start,
-              static_cast<std::uint32_t>(nodes->size()));
-    if (!all_acks->wait().done())
+    co_await f.quorum->wait();
+    traceSpan(msg, trace::Stage::Replicate, replicate_start, fanout);
+    if (!f.all->wait().done())
         ++failover_.quorumCompletions;
+    releaseFanout(f);
 
     co_await toClient(port, replyTo(msg, net::MessageKind::WriteReply));
     noteCompleted(msg.payload.size);
+}
+
+void
+PerRequestServer::sendReplica(const ReplicaTask &task, net::NodeId dst,
+                              bool first)
+{
+    net::Message out = task.fanout->messages[task.slot];
+    out.dst = dst;
+    toStorage(task.fanout->owner, task.slot, std::move(out), first);
+}
+
+sim::EventCallback
+PerRequestServer::repairSend(const ReplicaTask &task, net::NodeId dst)
+{
+    // The record is recycled once this replica retires, so the repair
+    // keeps its own copy of the message. A repair resends as slot r's
+    // first send would.
+    auto out =
+        std::make_shared<net::Message>(task.fanout->messages[task.slot]);
+    out->dst = dst;
+    return [this, port = task.fanout->owner, slot = task.slot, out]() {
+        toStorage(port, slot, std::move(*out), slot == 0);
+    };
 }
 
 sim::Process

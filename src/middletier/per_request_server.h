@@ -97,6 +97,12 @@ class PerRequestServer : public MiddleTierServer
     /** Send @p reply to the client whose request arrived on @p port. */
     virtual sim::Task toClient(unsigned port, net::Message reply) = 0;
 
+    /** Replica sends go through toStorage() from the parked messages. */
+    void sendReplica(const ReplicaTask &task, net::NodeId dst,
+                     bool first) override;
+    sim::EventCallback repairSend(const ReplicaTask &task,
+                                  net::NodeId dst) override;
+
     // --- Helpers for the hooks ------------------------------------------
 
     /**

@@ -19,8 +19,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/calibration.h"
@@ -31,6 +31,7 @@
 #include "middletier/hot_block_cache.h"
 #include "middletier/node_health.h"
 #include "net/fabric.h"
+#include "sim/flat_map.h"
 #include "sim/process.h"
 #include "sim/simulator.h"
 
@@ -271,20 +272,38 @@ class MiddleTierServer
     }
 
   protected:
-    /** One write replica's placement, as handed to the failover loop. */
-    struct Placement
+    /**
+     * One write's fan-out, shared by the coroutine serving the write and
+     * its replica tasks: the placement, the quorum and all-replicas
+     * latches and, for the designs that send from host memory, the
+     * message each slot sends. Records are recycled: openFanout() takes
+     * one from the server's free list, and it goes back when its last
+     * holder lets go. The serving coroutine and every replica task hold
+     * it, so it outlives the write when the VM is acknowledged before
+     * the stragglers ack.
+     */
+    struct WriteFanout
     {
+        /** Storage node of each slot (whole-block replica or RS shard). */
         std::vector<net::NodeId> nodes;
         ChunkRef chunk;
         bool chunked = false;
+        std::optional<sim::CountLatch> quorum;
+        std::optional<sim::CountLatch> all;
+        /**
+         * Which part of the design serves the write: the front port for
+         * the per-request designs, the worker for SmartDS.
+         */
+        unsigned owner = 0;
+        /** Per-request designs: slot r's replica message (dst unset). */
+        std::vector<net::Message> messages;
+        /** The serving coroutine plus each replica task still running. */
+        unsigned holders = 0;
     };
 
     /**
-     * One replica of one write, driven by replicateWithFailover(). The
-     * send callback must be safe to invoke repeatedly (retries) while the
-     * owning request is in flight; makeRepair — called at most once, at
-     * abandon time, while the request is still in flight — must return a
-     * self-contained deferred send usable after the request retires.
+     * One replica of one write, driven by replicateWithFailover(): plain
+     * data the design's sendReplica()/repairSend() hooks act on.
      */
     struct ReplicaTask
     {
@@ -294,13 +313,7 @@ class MiddleTierServer
         // simlint: allow(event-handle-misuse): replica/RS-shard index
         // within the placement, not a recycled event pool slot
         unsigned slot = 0;
-        std::shared_ptr<std::vector<net::NodeId>> placement;
-        ChunkRef chunk;
-        bool chunked = false;
-        std::function<void(net::NodeId)> send;
-        std::function<std::function<void()>(net::NodeId)> makeRepair;
-        std::shared_ptr<sim::CountLatch> quorumLatch;
-        std::shared_ptr<sim::CountLatch> allLatch;
+        WriteFanout *fanout = nullptr;
         /**
          * Whether this task carries one RS shard (slot = shard index)
          * rather than a whole-block replica. Abandoned shards are handed
@@ -315,6 +328,37 @@ class MiddleTierServer
         std::uint64_t vmId = 0;
         std::uint64_t blockOffset = 0;
     };
+
+    /**
+     * A recycled fan-out record for the write @p msg, served by @p owner:
+     * placed by placeWrite(), its latches set under @p config's quorum
+     * rule, and held once by the caller and once per slot (the replica
+     * tasks the caller spawns).
+     */
+    WriteFanout &openFanout(sim::Simulator &sim, const ServerConfig &config,
+                            const net::Message &msg, Rng &rng,
+                            unsigned owner);
+
+    /** Drop one hold on @p f; the last one recycles it. */
+    void releaseFanout(WriteFanout &f);
+
+    /**
+     * Send @p task's replica to @p dst (first attempt, retry or
+     * re-placement). @p first marks the write's very first send of slot
+     * 0. Designs that serve writes override this.
+     */
+    virtual void sendReplica(const ReplicaTask &task, net::NodeId dst,
+                             bool first);
+
+    /**
+     * A self-contained deferred resend of @p task to @p dst for the
+     * maintenance repair queue. Called at abandon time, while the write
+     * still holds its buffers; the callback runs after the write retired,
+     * so it must snapshot what it sends. Null (the default) schedules no
+     * repair.
+     */
+    virtual sim::EventCallback repairSend(const ReplicaTask &task,
+                                          net::NodeId dst);
 
     void
     noteCompleted(Bytes payload_bytes)
@@ -428,13 +472,14 @@ class MiddleTierServer
                                unsigned count, Rng &rng) const;
 
     /**
-     * Placement for one write: per-chunk sticky placement through the
-     * chunk manager when configured (also recording the write for
-     * compaction bookkeeping), uniform otherwise. Suspected nodes are
-     * excluded from fresh placement either way.
+     * Placement for one write, into @p f: per-chunk sticky placement
+     * through the chunk manager when configured (also recording the write
+     * for compaction bookkeeping), domain-spread otherwise. Suspected
+     * nodes are excluded from fresh per-request placement; see the note
+     * in server_base.cpp for a chunk's first placement.
      */
-    Placement placeWrite(const ServerConfig &config, const net::Message &msg,
-                         Rng &rng);
+    void placeWrite(const ServerConfig &config, const net::Message &msg,
+                    Rng &rng, WriteFanout &f);
 
     /**
      * Replica candidates for a read of the block @p msg addresses: the
@@ -632,11 +677,10 @@ class MiddleTierServer
     };
     struct AckKeyHash
     {
-        std::size_t
+        std::uint64_t
         operator()(const AckKey &k) const
         {
-            return std::hash<std::uint64_t>()(
-                k.tag * 0x9e3779b97f4a7c15ULL ^ k.node);
+            return sim::mixBits(k.tag * 0x9e3779b97f4a7c15ULL ^ k.node);
         }
     };
     struct AckEntry
@@ -677,9 +721,12 @@ class MiddleTierServer
     std::uint64_t requestsCompleted_ = 0;
     Bytes payloadBytesServed_ = 0;
     mutable SpreadGroups spread_;
-    std::unordered_map<AckKey, AckEntry, AckKeyHash> pendingAcks_;
-    std::unordered_map<std::uint64_t, FetchEntry> pendingFetches_;
-    std::unordered_map<std::uint64_t, net::Message> fetchReplies_;
+    sim::FlatMap<AckKey, AckEntry, AckKeyHash> pendingAcks_;
+    sim::FlatMap<std::uint64_t, FetchEntry> pendingFetches_;
+    sim::FlatMap<std::uint64_t, net::Message> fetchReplies_;
+    /** Every fan-out record ever made, and the ones free for reuse. */
+    std::vector<std::unique_ptr<WriteFanout>> fanouts_;
+    std::vector<WriteFanout *> freeFanouts_;
     std::unique_ptr<ec::RsCodec> codec_;
 #if SMARTDS_CHECKED_BUILD
     std::map<std::uint64_t, std::vector<bool>> ecLedger_;

@@ -39,8 +39,12 @@ SmartDsServer::SmartDsServer(net::Fabric &fabric, mem::MemorySystem &memory,
     }
     for (unsigned p = 0; p < smartds_.ports; ++p) {
         requestQps_.push_back(device_->createQp(p));
-        for (unsigned w = 0; w < smartds_.workersPerPort; ++w)
-            sim::spawn(sim_, worker(p));
+        for (unsigned w = 0; w < smartds_.workersPerPort; ++w) {
+            workers_.push_back(std::make_unique<Worker>());
+            workers_.back()->id = static_cast<unsigned>(workers_.size() - 1);
+            workers_.back()->port = p;
+            sim::spawn(sim_, worker(*workers_.back()));
+        }
     }
 }
 
@@ -88,54 +92,114 @@ SmartDsServer::repairReplica(unsigned port, net::NodeId dst,
     // as stale — the serving path already gave this replica up); a plain
     // callback, so a node that never answers leaks nothing.
     auto ack = device_->mixedRecv(qp, h, StorageHeader::wireSize, nullptr, 0);
-    auto ack_msg = ack.message;
-    ack.completion.onComplete([this, ack_msg](std::uint64_t) {
-        if (ack_msg && ack_msg->kind == net::MessageKind::WriteReplicaAck)
-            deliverAck(ack_msg->tag, ack_msg->src);
-    });
+    ack.completion.onComplete(
+        [this, msg = ack.message](std::uint64_t) { forwardAck(msg); });
     auto sent = device_->mixedSend(qp, h, StorageHeader::wireSize, d, size,
                                    net::MessageKind::WriteReplica, tag,
                                    issue);
     co_await sent.completion;
 }
 
+void
+SmartDsServer::forwardAck(const device::MessageRef &ack)
+{
+    // A flush (QP reset) completes the receive with the message still at
+    // kind Raw: only a real ack reaches the table.
+    if (ack && ack->kind == net::MessageKind::WriteReplicaAck)
+        deliverAck(ack->tag, ack->src);
+}
+
+void
+SmartDsServer::sendReplica(const ReplicaTask &task, net::NodeId dst, bool)
+{
+    Worker &w = *workers_[task.fanout->owner];
+    SmartDsDevice::Qp &qp = w.replicaQps[task.slot];
+    // Re-targeting tears down the previous attempt first (QP reset), so
+    // a late ack from the old peer cannot match the fresh descriptor;
+    // the flush completes it with 0 at kind Raw, which forwardAck()
+    // ignores.
+    device_->resetQp(qp);
+    device_->connect(qp, dst, 0);
+    auto ack = device_->mixedRecv(qp, w.hAcks[task.slot],
+                                  StorageHeader::wireSize, nullptr, 0);
+    ack.completion.onComplete(
+        [this, msg = ack.message](std::uint64_t) { forwardAck(msg); });
+    device_->mixedSend(qp, w.hSend, StorageHeader::wireSize,
+                       task.ec ? w.dShards[task.slot] : w.sendBuf,
+                       task.blockBytes, net::MessageKind::WriteReplica,
+                       task.tag, w.issue, w.tctx);
+}
+
+sim::EventCallback
+SmartDsServer::repairSend(const ReplicaTask &task, net::NodeId dst)
+{
+    // Snapshot header and payload now — the worker reuses its buffers
+    // for the next request once the all-replicas latch releases, but
+    // the repair runs much later.
+    const Worker &w = *workers_[task.fanout->owner];
+    const device::BufferRef &out_buf =
+        task.ec ? w.dShards[task.slot] : w.sendBuf;
+    const Bytes out_size = task.blockBytes;
+    auto h_copy = device_->hostAlloc(StorageHeader::wireSize);
+    auto d_copy = device_->devAlloc(out_size ? out_size : 1);
+    if (h_copy->bytes() && w.hSend->bytes())
+        *h_copy->bytes() = *w.hSend->bytes();
+    h_copy->content = w.hSend->content;
+    if (d_copy->bytes() && out_buf->bytes())
+        std::copy(out_buf->bytes()->begin(),
+                  out_buf->bytes()->begin() +
+                      static_cast<std::ptrdiff_t>(out_size),
+                  d_copy->bytes()->begin());
+    d_copy->content = out_buf->content;
+    return [this, port = w.port, h_copy, d_copy, out_size, tag = task.tag,
+            issue = w.issue, dst]() {
+        sim::spawn(sim_, repairReplica(port, dst, h_copy, d_copy, out_size,
+                                       tag, issue));
+    };
+}
+
 sim::Process
-SmartDsServer::worker(unsigned port)
+SmartDsServer::worker(Worker &w)
 {
     // --- Listing-1 setup: allocate buffers, connect queue pairs ---------
+    const unsigned port = w.port;
     const Bytes max_block = smartds_.maxBlockBytes;
-    auto h_recv = device_->hostAlloc(StorageHeader::wireSize);
-    auto h_send = device_->hostAlloc(StorageHeader::wireSize);
-    auto h_fetch = device_->hostAlloc(StorageHeader::wireSize);
-    auto d_recv = device_->devAlloc(max_block);
-    auto d_send = device_->devAlloc(lz4::maxCompressedSize(max_block));
+    w.hRecv = device_->hostAlloc(StorageHeader::wireSize);
+    w.hSend = device_->hostAlloc(StorageHeader::wireSize);
+    w.hFetch = device_->hostAlloc(StorageHeader::wireSize);
+    w.dRecv = device_->devAlloc(max_block);
+    w.dSend = device_->devAlloc(lz4::maxCompressedSize(max_block));
 
-    // One storage-facing queue pair (and ack header buffer) per replica
-    // slot, so a retry re-targeting one replica can reset its own QP
-    // without tearing down a sibling's in-flight send or pending ack
-    // receive; plus a fetch QP for reads and a reply QP toward the VM.
-    std::vector<SmartDsDevice::Qp> replica_qps;
-    std::vector<device::BufferRef> h_acks;
+    // Per-slot storage QPs and ack buffers, plus a fetch QP for reads and
+    // a reply QP toward the VM.
     const unsigned fanout = config_.writeFanout();
     for (unsigned r = 0; r < fanout; ++r) {
-        replica_qps.push_back(device_->createQp(port));
-        h_acks.push_back(device_->hostAlloc(StorageHeader::wireSize));
+        w.replicaQps.push_back(device_->createQp(port));
+        w.hAcks.push_back(device_->hostAlloc(StorageHeader::wireSize));
     }
     // Erasure coding: one HBM buffer per shard slot (writes RS-encode
     // into them; reads gather fetched shards into them), plus a zero-byte
     // hint buffer that rides on header-only shard fetches so timing-mode
     // storage synthesises shard-sized replies.
-    std::vector<device::BufferRef> d_shards;
-    device::BufferRef d_hint;
     if (config_.policy == ReplicationPolicy::ErasureCode) {
         const Bytes shard_cap = ec::RsCodec::shardSize(
             lz4::maxCompressedSize(max_block), config_.ec.dataShards);
         for (unsigned s = 0; s < fanout; ++s)
-            d_shards.push_back(device_->devAlloc(shard_cap));
-        d_hint = device_->devAlloc(1);
+            w.dShards.push_back(device_->devAlloc(shard_cap));
+        w.dHint = device_->devAlloc(1);
     }
-    SmartDsDevice::Qp fetch_qp = device_->createQp(port);
-    SmartDsDevice::Qp reply_qp = device_->createQp(port);
+    w.fetchQp = device_->createQp(port);
+    w.replyQp = device_->createQp(port);
+    // Short names for the loop below.
+    const device::BufferRef &h_recv = w.hRecv;
+    const device::BufferRef &h_send = w.hSend;
+    const device::BufferRef &h_fetch = w.hFetch;
+    const device::BufferRef &d_recv = w.dRecv;
+    const device::BufferRef &d_send = w.dSend;
+    const std::vector<device::BufferRef> &d_shards = w.dShards;
+    const device::BufferRef &d_hint = w.dHint;
+    SmartDsDevice::Qp &fetch_qp = w.fetchQp;
+    SmartDsDevice::Qp &reply_qp = w.replyQp;
 
     const SmartDsDevice::Qp &request_qp = requestQps_[port];
 
@@ -494,91 +558,39 @@ SmartDsServer::worker(unsigned port)
             ecLedgerOpen(tag, d_shards.size());
         }
 
-        Placement placement = placeWrite(config_, req, rng_);
-        auto nodes = std::make_shared<std::vector<net::NodeId>>(
-            std::move(placement.nodes));
-        SMARTDS_CHECK(nodes->size() <= replica_qps.size(),
+        // Each replica task sends from this worker's buffers through the
+        // sendReplica() hook; the fan-out record carries the placement
+        // and latches.
+        WriteFanout &f = openFanout(sim_, config_, req, rng_, w.id);
+        SMARTDS_CHECK(f.nodes.size() <= w.replicaQps.size(),
                        "placement wider than the worker's replica QPs");
-        const unsigned quorum = writeQuorum(config_, nodes->size());
-        auto quorum_acks = std::make_shared<sim::CountLatch>(sim_, quorum);
-        auto all_acks = std::make_shared<sim::CountLatch>(
-            sim_, static_cast<unsigned>(nodes->size()));
+        w.sendBuf = send_buf;
+        w.issue = req.issueTick;
+        w.tctx = tctx;
+        const unsigned replicas = static_cast<unsigned>(f.nodes.size());
         const Tick replicate_start = sim_.now();
 
-        for (unsigned r = 0; r < nodes->size(); ++r) {
-            const device::BufferRef out_buf = ec ? d_shards[r] : send_buf;
-            const Bytes out_size = ec ? shard_size : send_size;
+        for (unsigned r = 0; r < replicas; ++r) {
             ReplicaTask task;
             task.tag = tag;
             task.vmId = req.vmId;
             task.blockOffset = req.blockOffset;
-            task.blockBytes = out_size;
-            task.target = (*nodes)[r];
+            task.blockBytes = ec ? shard_size : send_size;
+            task.target = f.nodes[r];
             task.slot = r;
             task.ec = ec;
-            task.placement = nodes;
-            task.chunk = placement.chunk;
-            task.chunked = placement.chunked;
-            task.quorumLatch = quorum_acks;
-            task.allLatch = all_acks;
-            SmartDsDevice::Qp *qp = &replica_qps[r];
-            device::BufferRef h_ack = h_acks[r];
-            task.send = [this, qp, h_ack, h_send, out_buf, out_size, tag,
-                         tctx, issue = req.issueTick](net::NodeId dst) {
-                // Re-targeting tears down the previous attempt first (QP
-                // reset), so a late ack from the old peer cannot match
-                // the fresh descriptor; the flush completes it with 0 at
-                // kind Raw, which the forwarder below ignores.
-                device_->resetQp(*qp);
-                device_->connect(*qp, dst, 0);
-                auto ack = device_->mixedRecv(*qp, h_ack,
-                                              StorageHeader::wireSize,
-                                              nullptr, 0);
-                auto ack_msg = ack.message;
-                ack.completion.onComplete([this, ack_msg](std::uint64_t) {
-                    if (ack_msg &&
-                        ack_msg->kind == net::MessageKind::WriteReplicaAck)
-                        deliverAck(ack_msg->tag, ack_msg->src);
-                });
-                device_->mixedSend(*qp, h_send, StorageHeader::wireSize,
-                                   out_buf, out_size,
-                                   net::MessageKind::WriteReplica, tag,
-                                   issue, tctx);
-            };
-            task.makeRepair = [this, port, h_send, out_buf, out_size, tag,
-                               issue = req.issueTick](net::NodeId dst) {
-                // Snapshot header and payload now — the worker reuses its
-                // buffers for the next request once the all-replicas
-                // latch releases, but the repair runs much later.
-                auto h_copy = device_->hostAlloc(StorageHeader::wireSize);
-                auto d_copy =
-                    device_->devAlloc(out_size ? out_size : 1);
-                if (h_copy->bytes() && h_send->bytes())
-                    *h_copy->bytes() = *h_send->bytes();
-                h_copy->content = h_send->content;
-                if (d_copy->bytes() && out_buf->bytes())
-                    std::copy(out_buf->bytes()->begin(),
-                              out_buf->bytes()->begin() +
-                                  static_cast<std::ptrdiff_t>(out_size),
-                              d_copy->bytes()->begin());
-                d_copy->content = out_buf->content;
-                return [this, port, h_copy, d_copy, out_size, tag, issue,
-                        dst]() {
-                    sim::spawn(sim_,
-                               repairReplica(port, dst, h_copy, d_copy,
-                                             out_size, tag, issue));
-                };
-            };
-            sim::spawn(sim_, replicateWithFailover(sim_, rng_, config_,
-                                                   std::move(task)));
+            task.fanout = &f;
+            sim::spawn(sim_,
+                       replicateWithFailover(sim_, rng_, config_, task));
         }
-        co_await quorum_acks->wait();
+        co_await f.quorum->wait();
         if (tracer && tctx)
             tracer->record(tctx, trace::Stage::Replicate, replicate_start,
-                           sim_.now(),
-                           static_cast<std::uint32_t>(nodes->size()));
-        if (!all_acks->wait().done())
+                           sim_.now(), replicas);
+        sim::Completion all_acks = f.all->wait();
+        if (!all_acks.done())
             ++failover_.quorumCompletions;
+        releaseFanout(f);
 
         // --- Acknowledge the VM -----------------------------------------
         device_->connect(reply_qp, req.src, req.srcQp);
@@ -589,10 +601,10 @@ SmartDsServer::worker(unsigned port)
         co_await reply.completion;
         noteCompleted(payload_size);
 
-        // The replica QPs, latches and send buffers are reused by the
-        // next request — wait for every straggler (late ack, retry, or
-        // abandonment) before looping.
-        co_await all_acks->wait();
+        // The replica QPs and send buffers are reused by the next request
+        // — wait for every straggler (late ack, retry, or abandonment)
+        // before looping.
+        co_await all_acks;
     }
 }
 

@@ -58,7 +58,59 @@ class SmartDsServer : public MiddleTierServer
     host::CorePool &cores() { return cores_; }
 
   private:
-    sim::Process worker(unsigned port);
+    /**
+     * One Listing-1 worker pipeline: its buffers and queue pairs, and the
+     * write it is fanning out. A worker serves one request at a time and
+     * waits for every replica of a write before the next, so the replica
+     * hooks read the write's buffers from here.
+     */
+    struct Worker
+    {
+        /** Index in workers_ (the fan-out records' owner). */
+        unsigned id = 0;
+        unsigned port = 0;
+        device::BufferRef hRecv;
+        device::BufferRef hSend;
+        device::BufferRef hFetch;
+        device::BufferRef dRecv;
+        device::BufferRef dSend;
+        /**
+         * One storage-facing queue pair (and ack header buffer) per
+         * replica slot, so a retry re-targeting one replica can reset its
+         * own QP without tearing down a sibling's in-flight send or
+         * pending ack receive.
+         */
+        std::vector<device::SmartDsDevice::Qp> replicaQps;
+        std::vector<device::BufferRef> hAcks;
+        /** RS shard buffers, one per slot (EC policy only). */
+        std::vector<device::BufferRef> dShards;
+        /** Zero-byte hint riding on header-only shard fetches. */
+        device::BufferRef dHint;
+        device::SmartDsDevice::Qp fetchQp;
+        device::SmartDsDevice::Qp replyQp;
+        // The write being replicated (its block, or the RS shards above).
+        device::BufferRef sendBuf;
+        Tick issue = 0;
+        trace::TraceContext tctx;
+    };
+
+    sim::Process worker(Worker &w);
+
+    /**
+     * Re-target slot @p task.slot's queue pair at @p dst (a reset first,
+     * so a late ack from the old peer cannot match the fresh descriptor),
+     * post the ack receive and send the replica from the worker's
+     * buffers.
+     */
+    void sendReplica(const ReplicaTask &task, net::NodeId dst,
+                     bool first) override;
+    /** Snapshot the replica's header and payload for a later resend. */
+    sim::EventCallback repairSend(const ReplicaTask &task,
+                                  net::NodeId dst) override;
+
+    /** Route a replica ack receive's message into the ack table. */
+    void forwardAck(const device::MessageRef &ack);
+
     /**
      * Background resend of an abandoned replica: a one-shot queue pair
      * and snapshot buffers, so it survives the originating request's
@@ -77,6 +129,8 @@ class SmartDsServer : public MiddleTierServer
     Rng rng_;
     /** The shared request queue pair of each port (clients send here). */
     std::vector<device::SmartDsDevice::Qp> requestQps_;
+    /** Every worker, indexed by WriteFanout::owner. */
+    std::vector<std::unique_ptr<Worker>> workers_;
     /**
      * HBM-resident read cache: the capacity reservation charged against
      * the device memory budget and the bandwidth flow each hit's DRAM

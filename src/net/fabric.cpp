@@ -17,7 +17,7 @@ Port::Port(sim::Simulator &sim, Fabric &fabric, std::string name, NodeId id,
 }
 
 void
-Port::send(Message msg, std::function<void()> on_sent)
+Port::send(Message msg, sim::EventCallback on_sent)
 {
     msg.src = id_;
     const Bytes wire = framing_.wireBytes(msg.wireBytes());

@@ -73,7 +73,7 @@ class Port
      * Send @p msg toward msg.dst. @p on_sent (optional) fires when the
      * last byte has left this port (local send completion).
      */
-    void send(Message msg, std::function<void()> on_sent = nullptr);
+    void send(Message msg, sim::EventCallback on_sent = nullptr);
 
     /** Install the receive handler (exactly one per port). */
     void onReceive(Handler handler);
@@ -98,7 +98,7 @@ class Port
     struct Outbound
     {
         std::uint32_t ticket = 0; ///< in the fabric's parked messages
-        std::function<void()> onSent;
+        sim::EventCallback onSent;
     };
 
     /** Called by the fabric when a message arrives from another domain. */

@@ -53,7 +53,7 @@ RdmaNic::onHostReceive(std::function<void(net::Message)> handler)
 }
 
 void
-RdmaNic::sendFromHost(net::Message msg, std::function<void()> on_sent)
+RdmaNic::sendFromHost(net::Message msg, sim::EventCallback on_sent)
 {
     const Bytes bytes = msg.wireBytes();
     const std::uint32_t ticket = inDma_.park(InDma{

@@ -68,7 +68,7 @@ class RdmaNic
      * completion.
      */
     void sendFromHost(net::Message msg,
-                      std::function<void()> on_sent = nullptr);
+                      sim::EventCallback on_sent = nullptr);
 
     net::Port &port() { return *port_; }
     pcie::PcieLink &pcieLink() { return pcie_; }
@@ -79,7 +79,7 @@ class RdmaNic
     struct InDma
     {
         net::Message msg;
-        std::function<void()> onSent; ///< tx only
+        sim::EventCallback onSent; ///< tx only
         Tick dmaStart = 0;
     };
 

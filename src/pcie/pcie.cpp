@@ -87,29 +87,29 @@ DmaEngine::DmaEngine(sim::Simulator &sim, std::string name,
 }
 
 void
-DmaEngine::read(Bytes bytes, Options options, std::function<void(Tick)> done)
+DmaEngine::read(Bytes bytes, Options options, Done done)
 {
     submit(bytes, true, options, std::move(done));
 }
 
 void
-DmaEngine::write(Bytes bytes, Options options,
-                 std::function<void(Tick)> done)
+DmaEngine::write(Bytes bytes, Options options, Done done)
 {
     submit(bytes, false, options, std::move(done));
 }
 
 void
-DmaEngine::submit(Bytes bytes, bool is_read, Options options,
-                  std::function<void(Tick)> done)
+DmaEngine::submit(Bytes bytes, bool is_read, Options options, Done done)
 {
+    // A zero-byte transfer completes at the next event slot; it is parked
+    // like any job, so its event captures only the slot.
+    const std::uint32_t job = jobs_.park(
+        Job{bytes, 0, sim_.now(), is_read, options, std::move(done)});
     if (bytes == 0) {
-        sim_.schedule(0, [done = std::move(done)]() { done(0); },
+        sim_.schedule(0, [this, job]() { jobs_.take(job).done(0); },
                       sim::EventTag::Device);
         return;
     }
-    const std::uint32_t job = jobs_.park(
-        Job{bytes, 0, sim_.now(), is_read, options, std::move(done)});
     (is_read ? readQueue_ : writeQueue_).push(job);
     pump();
 }

@@ -18,7 +18,6 @@
 #define SMARTDS_PCIE_PCIE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -143,15 +142,18 @@ class DmaEngine
         bool stallOnMemory = true;
     };
 
+    /** Completion of a transfer; receives its total latency. */
+    using Done = sim::Callback<void(Tick)>;
+
     /**
      * Device reads @p bytes of host memory (H2D data flow).
      * @p done fires when the last chunk reaches the device; it receives
      * the total latency of the transfer.
      */
-    void read(Bytes bytes, Options options, std::function<void(Tick)> done);
+    void read(Bytes bytes, Options options, Done done);
 
     /** Device writes @p bytes to host memory (D2H data flow). */
-    void write(Bytes bytes, Options options, std::function<void(Tick)> done);
+    void write(Bytes bytes, Options options, Done done);
 
     const Config &config() const { return config_; }
 
@@ -168,11 +170,10 @@ class DmaEngine
         Tick start = 0;
         bool isRead = false;
         Options options;
-        std::function<void(Tick)> done;
+        Done done;
     };
 
-    void submit(Bytes bytes, bool is_read, Options options,
-                std::function<void(Tick)> done);
+    void submit(Bytes bytes, bool is_read, Options options, Done done);
     void pump();
     void startChunk(std::uint32_t job, Bytes chunk);
     /** Cross link @p hop of the job's path, then the next one. */

@@ -36,13 +36,39 @@ namespace smartds::sim {
 
 /**
  * FIFO ring buffer with power-of-two capacity that doubles when full.
- * T must be default-constructible and move-assignable; a popped slot is
- * left moved-from (so it releases whatever the value owned).
+ * Elements live only between push() and pop(): the storage is raw, so T
+ * needs only a move constructor (a posted receive holding a
+ * sim::Completion qualifies), and a popped element is destroyed at once,
+ * releasing whatever it owned.
  */
 template <typename T>
 class Ring
 {
   public:
+    Ring() = default;
+    Ring(Ring &&other) noexcept
+        : buf_(std::exchange(other.buf_, nullptr)),
+          capacity_(std::exchange(other.capacity_, 0)),
+          head_(std::exchange(other.head_, 0)),
+          size_(std::exchange(other.size_, 0))
+    {
+    }
+    Ring &
+    operator=(Ring &&other) noexcept
+    {
+        if (this != &other) {
+            destroy();
+            buf_ = std::exchange(other.buf_, nullptr);
+            capacity_ = std::exchange(other.capacity_, 0);
+            head_ = std::exchange(other.head_, 0);
+            size_ = std::exchange(other.size_, 0);
+        }
+        return *this;
+    }
+    Ring(const Ring &) = delete;
+    Ring &operator=(const Ring &) = delete;
+    ~Ring() { destroy(); }
+
     bool empty() const { return size_ == 0; }
     std::size_t size() const { return size_; }
 
@@ -53,15 +79,16 @@ class Ring
     const T &
     operator[](std::size_t i) const
     {
-        return buf_[(head_ + i) & (buf_.size() - 1)];
+        return buf_[(head_ + i) & (capacity_ - 1)];
     }
 
     void
     push(T value)
     {
-        if (size_ == buf_.size())
+        if (size_ == capacity_)
             grow();
-        buf_[(head_ + size_) & (buf_.size() - 1)] = std::move(value);
+        ::new (static_cast<void *>(buf_ + ((head_ + size_) & (capacity_ - 1))))
+            T(std::move(value));
         ++size_;
     }
 
@@ -71,7 +98,8 @@ class Ring
     {
         SMARTDS_SIM_INVARIANT(size_ > 0, "pop from an empty ring");
         T value = std::move(buf_[head_]);
-        head_ = (head_ + 1) & (buf_.size() - 1);
+        buf_[head_].~T();
+        head_ = (head_ + 1) & (capacity_ - 1);
         --size_;
         return value;
     }
@@ -80,14 +108,33 @@ class Ring
     void
     grow()
     {
-        std::vector<T> next(buf_.empty() ? 4 : buf_.size() * 2);
-        for (std::size_t i = 0; i < size_; ++i)
-            next[i] = std::move(buf_[(head_ + i) & (buf_.size() - 1)]);
-        buf_.swap(next);
+        const std::size_t capacity = capacity_ == 0 ? 4 : capacity_ * 2;
+        T *next = std::allocator<T>().allocate(capacity);
+        for (std::size_t i = 0; i < size_; ++i) {
+            T &from = buf_[(head_ + i) & (capacity_ - 1)];
+            ::new (static_cast<void *>(next + i)) T(std::move(from));
+            from.~T();
+        }
+        if (buf_)
+            std::allocator<T>().deallocate(buf_, capacity_);
+        buf_ = next;
+        capacity_ = capacity;
         head_ = 0;
     }
 
-    std::vector<T> buf_;
+    void
+    destroy() noexcept
+    {
+        for (std::size_t i = 0; i < size_; ++i)
+            buf_[(head_ + i) & (capacity_ - 1)].~T();
+        if (buf_)
+            std::allocator<T>().deallocate(buf_, capacity_);
+        buf_ = nullptr;
+        capacity_ = head_ = size_ = 0;
+    }
+
+    T *buf_ = nullptr;
+    std::size_t capacity_ = 0;
     std::size_t head_ = 0;
     std::size_t size_ = 0;
 };

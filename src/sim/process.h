@@ -55,7 +55,6 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <new>
 #include <utility>
 #include <vector>
@@ -373,10 +372,8 @@ class Completion
 
     ~Completion()
     {
-        if (state_ && --state_->refs == 0) {
-            state_->~State();
-            detail::blockPool().deallocate(state_, sizeof(State));
-        }
+        if (state_)
+            release(state_);
     }
 
     /** Mark complete with @p value and wake all waiters. */
@@ -387,8 +384,9 @@ class Completion
         SMARTDS_CHECK(!s.done, "double completion");
         s.done = true;
         s.value = value;
-        // Waiters in the order they suspended, then callbacks: each gets
-        // its own zero-delay event, in that order.
+        // Waiters in the order they suspended, then callbacks in the
+        // order they were registered: each gets its own zero-delay event,
+        // in that order.
         if (s.waiter) {
             wake(s.waiter);
             s.waiter = nullptr;
@@ -396,9 +394,13 @@ class Completion
         for (const std::coroutine_handle<> h : s.moreWaiters)
             wake(h);
         s.moreWaiters.clear();
-        for (auto &fn : s.callbacks)
-            s.sim->schedule(0, [fn = std::move(fn), value]() { fn(value); });
-        s.callbacks.clear();
+        if (s.callback)
+            fireCallback();
+        for (auto &fn : s.moreCallbacks)
+            s.sim->schedule(0, [fn = std::move(fn), value]() mutable {
+                fn(value);
+            });
+        s.moreCallbacks.clear();
     }
 
     /**
@@ -406,18 +408,28 @@ class Completion
      * done). Unlike awaiting, a callback holds no coroutine frame, so a
      * completion that never fires leaks nothing — the right tool for
      * consumers of events that may be abandoned (e.g. acks from a crashed
-     * storage node).
+     * storage node). The first callback is kept in the shared state and
+     * its event carries only that state, so registering one allocates
+     * nothing; further ones (rare) are boxed into their events.
      */
     void
-    onComplete(std::function<void(std::uint64_t)> fn)
+    onComplete(Callback<void(std::uint64_t)> fn)
     {
-        if (state_->done) {
-            const std::uint64_t value = state_->value;
-            state_->sim->schedule(0,
-                                  [fn = std::move(fn), value]() { fn(value); });
+        State &s = *state_;
+        if (!s.callback && s.moreCallbacks.empty()) {
+            s.callback = std::move(fn);
+            if (s.done)
+                fireCallback();
             return;
         }
-        state_->callbacks.push_back(std::move(fn));
+        if (s.done) {
+            s.sim->schedule(0,
+                            [fn = std::move(fn), value = s.value]() mutable {
+                                fn(value);
+                            });
+            return;
+        }
+        s.moreCallbacks.push_back(std::move(fn));
     }
 
     bool done() const { return state_->done; }
@@ -450,13 +462,66 @@ class Completion
         /** The first waiter; nearly every Completion has at most one. */
         std::coroutine_handle<> waiter;
         std::vector<std::coroutine_handle<>> moreWaiters;
-        std::vector<std::function<void(std::uint64_t)>> callbacks;
+        /** The first callback, likewise; invoked from its event. */
+        Callback<void(std::uint64_t)> callback;
+        std::vector<Callback<void(std::uint64_t)>> moreCallbacks;
     };
 
     void
     wake(std::coroutine_handle<> h)
     {
         state_->sim->schedule(0, [h]() { h.resume(); });
+    }
+
+    /**
+     * The event that runs the held first callback. It holds one
+     * reference to the state, so the callback outlives every Completion
+     * copy until it has run, and an event dropped unrun (a simulator torn
+     * down mid-run) still lets the state go.
+     */
+    class FireCallback
+    {
+      public:
+        explicit FireCallback(State *s) noexcept : s_(s) { ++s_->refs; }
+        FireCallback(FireCallback &&other) noexcept
+            : s_(std::exchange(other.s_, nullptr))
+        {
+        }
+        FireCallback(const FireCallback &) = delete;
+        FireCallback &operator=(const FireCallback &) = delete;
+        FireCallback &operator=(FireCallback &&) = delete;
+        ~FireCallback()
+        {
+            if (s_)
+                release(s_);
+        }
+
+        void
+        operator()()
+        {
+            Callback<void(std::uint64_t)> fn = std::move(s_->callback);
+            fn(s_->value);
+        }
+
+      private:
+        State *s_;
+    };
+
+    /** Schedule the held first callback. */
+    void
+    fireCallback()
+    {
+        state_->sim->schedule(0, FireCallback(state_));
+    }
+
+    /** Drop one reference to @p s, freeing it with the last. */
+    static void
+    release(State *s) noexcept
+    {
+        if (--s->refs == 0) {
+            s->~State();
+            detail::blockPool().deallocate(s, sizeof(State));
+        }
     }
 
     State *state_;

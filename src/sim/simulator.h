@@ -91,35 +91,55 @@ class DomainScope
     unsigned saved_;
 };
 
+template <typename Signature>
+class Callback;
+
 /**
- * Move-only callable holder for event callbacks with a small-buffer
- * optimisation: callables up to inlineCapacity bytes are stored inside the
- * event record itself; larger ones fall back to a heap box. Implicitly
- * constructible from any void() callable, so existing schedule() call
- * sites (lambdas, std::function, function pointers) compile unchanged.
+ * Move-only callable holder with a small-buffer optimisation, the one
+ * callback type of the hot path: callables up to inlineCapacity bytes are
+ * stored inside the holder itself; larger ones fall back to a heap box.
+ * Implicitly constructible from any callable matching @p R(Args...), so
+ * call sites pass lambdas, function pointers or std::functions unchanged.
+ *
+ * EventCallback (Callback<void()>) is what the kernel stores in each
+ * event record; components take Callback<void(Tick)> (DMA completions),
+ * Callback<void(std::uint64_t)> (Completion callbacks) or EventCallback
+ * (core-pool work, port send completions, maintenance resends) where
+ * they used to take std::function. The difference matters: libstdc++'s
+ * std::function keeps only 16-byte, trivially copyable callables in
+ * place, so a capture holding a shared_ptr or a Completion was boxed on
+ * every call; here anything up to six pointers' worth stays inline.
+ *
+ * A holder is 56 bytes, so a closure that captures one no longer fits
+ * another holder's buffer: a component that must keep a callback while
+ * it schedules work parks it (sim::SlotTable, sim::Ring) and captures
+ * the slot instead.
  */
-class EventCallback
+template <typename R, typename... Args>
+class Callback<R(Args...)>
 {
   public:
     /** Inline storage: covers lambdas capturing up to 6 pointers. */
     static constexpr std::size_t inlineCapacity = 48;
 
-    EventCallback() = default;
+    Callback() = default;
+    Callback(std::nullptr_t) {} // NOLINT: implicit, like std::function
 
     template <typename F,
               typename Fn = std::decay_t<F>,
               typename = std::enable_if_t<
-                  !std::is_same_v<Fn, EventCallback> &&
-                  std::is_invocable_r_v<void, Fn &>>>
-    EventCallback(F &&f) // NOLINT: implicit by design
+                  !std::is_same_v<Fn, Callback> &&
+                  !std::is_same_v<Fn, std::nullptr_t> &&
+                  std::is_invocable_r_v<R, Fn &, Args...>>>
+    Callback(F &&f) // NOLINT: implicit by design
     {
         emplace(std::forward<F>(f));
     }
 
-    EventCallback(EventCallback &&other) noexcept { moveFrom(other); }
+    Callback(Callback &&other) noexcept { moveFrom(other); }
 
-    EventCallback &
-    operator=(EventCallback &&other) noexcept
+    Callback &
+    operator=(Callback &&other) noexcept
     {
         if (this != &other) {
             reset();
@@ -128,16 +148,20 @@ class EventCallback
         return *this;
     }
 
-    EventCallback(const EventCallback &) = delete;
-    EventCallback &operator=(const EventCallback &) = delete;
+    Callback(const Callback &) = delete;
+    Callback &operator=(const Callback &) = delete;
 
-    ~EventCallback() { reset(); }
+    ~Callback() { reset(); }
 
     /** Whether a callable is held. */
     explicit operator bool() const { return ops_ != nullptr; }
 
     /** Invoke the held callable (must hold one). */
-    void operator()() { ops_->invoke(buf_); }
+    R
+    operator()(Args... args)
+    {
+        return ops_->invoke(buf_, std::forward<Args>(args)...);
+    }
 
     /** Destroy the held callable (and release its captures), if any. */
     void
@@ -162,7 +186,7 @@ class EventCallback
      */
     struct Ops
     {
-        void (*invoke)(void *);
+        R (*invoke)(void *, Args...);
         /** Move-construct dst's storage from src's, destroying src's. */
         void (*relocate)(void *dst, void *src);
         void (*destroy)(void *);
@@ -175,7 +199,10 @@ class EventCallback
 
     template <typename Fn>
     static constexpr Ops inlineOps = {
-        [](void *p) { (*std::launder(reinterpret_cast<Fn *>(p)))(); },
+        [](void *p, Args... args) -> R {
+            return (*std::launder(reinterpret_cast<Fn *>(p)))(
+                std::forward<Args>(args)...);
+        },
         trivialInline<Fn> ? nullptr : +[](void *dst, void *src) {
             Fn *from = std::launder(reinterpret_cast<Fn *>(src));
             ::new (dst) Fn(std::move(*from));
@@ -188,7 +215,10 @@ class EventCallback
 
     template <typename Fn>
     static constexpr Ops boxedOps = {
-        [](void *p) { (**std::launder(reinterpret_cast<Fn **>(p)))(); },
+        [](void *p, Args... args) -> R {
+            return (**std::launder(reinterpret_cast<Fn **>(p)))(
+                std::forward<Args>(args)...);
+        },
         nullptr,
         [](void *p) { delete *std::launder(reinterpret_cast<Fn **>(p)); },
     };
@@ -204,13 +234,13 @@ class EventCallback
     emplace(F &&f)
     {
         using Fn = std::decay_t<F>;
-        static_assert(std::is_invocable_r_v<void, Fn &>,
-                      "an event callback is a void() callable");
+        static_assert(std::is_invocable_r_v<R, Fn &, Args...>,
+                      "callable does not match the callback's signature");
         SMARTDS_SIM_INVARIANT(ops_ == nullptr,
                               "building a callback over a held one");
-        if constexpr (std::is_same_v<Fn, EventCallback>) {
+        if constexpr (std::is_same_v<Fn, Callback>) {
             static_assert(!std::is_lvalue_reference_v<F>,
-                          "an EventCallback is moved, never copied");
+                          "a Callback is moved, never copied");
             moveFrom(f);
         } else if constexpr (sizeof(Fn) <= inlineCapacity &&
                              alignof(Fn) <= alignof(std::max_align_t) &&
@@ -242,7 +272,7 @@ class EventCallback
     }
 
     void
-    moveFrom(EventCallback &other) noexcept
+    moveFrom(Callback &other) noexcept
     {
         ops_ = other.ops_;
         if (ops_) {
@@ -257,6 +287,12 @@ class EventCallback
     alignas(std::max_align_t) unsigned char buf_[inlineCapacity];
     const Ops *ops_ = nullptr;
 };
+
+/**
+ * The kernel's event callback: any void() callable, stored in place in
+ * its event record (see Callback).
+ */
+using EventCallback = Callback<void()>;
 
 /**
  * Handle to a scheduled event; allows cancellation. Default-constructed

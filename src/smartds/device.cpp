@@ -73,6 +73,7 @@ SmartDsDevice::SmartDsDevice(net::Fabric &fabric, const std::string &name,
             state->ecEngine = std::make_unique<sim::BandwidthServer>(
                 sim_, pname + ".ec", config.ecEngineRate,
                 config.ecEngineLatency);
+        state->qps.emplace_back(); // QpId 0 is never handed out
         state->splitWrite = hbm_.createFlow(pname + ".split-w");
         state->assembleRead = hbm_.createFlow(pname + ".assemble-r");
         state->engineRead = hbm_.createFlow(pname + ".engine-r");
@@ -110,9 +111,11 @@ SmartDsDevice::Qp
 SmartDsDevice::createQp(unsigned port)
 {
     SMARTDS_CHECK(port < portStates_.size(), "port index out of range");
+    auto &qps = portStates_[port]->qps;
     Qp qp;
     qp.port = port;
-    qp.local = portStates_[port]->nextQp++;
+    qp.local = static_cast<net::QpId>(qps.size());
+    qps.emplace_back();
     return qp;
 }
 
@@ -123,23 +126,29 @@ SmartDsDevice::connect(Qp &qp, net::NodeId remote_node, net::QpId remote_qp)
     qp.remoteQp = remote_qp;
 }
 
+SmartDsDevice::QpState &
+SmartDsDevice::qpState(unsigned port, net::QpId qp)
+{
+    SMARTDS_CHECK(port < portStates_.size(), "bad qp port");
+    auto &qps = portStates_[port]->qps;
+    SMARTDS_CHECK(qp > 0 && qp < qps.size(),
+                  "%s port %u has no queue pair %u (it created %zu)",
+                  name_.c_str(), port, static_cast<unsigned>(qp),
+                  qps.size() - 1);
+    return qps[qp];
+}
+
 void
 SmartDsDevice::resetQp(const Qp &qp)
 {
-    SMARTDS_CHECK(qp.port < portStates_.size(), "bad qp port");
-    auto &state = *portStates_[qp.port];
-    if (const auto rq = state.recvQueues.find(qp.local);
-        rq != state.recvQueues.end()) {
-        // Flush-with-error: complete each posted descriptor with 0 and
-        // its message still at kind Raw, like an RDMA flush error WQE.
-        auto flushed = std::move(rq->second);
-        rq->second.clear();
-        for (auto &desc : flushed)
-            desc.event.completion.complete(0);
-    }
-    if (const auto pm = state.pendingMsgs.find(qp.local);
-        pm != state.pendingMsgs.end())
-        pm->second.clear();
+    QpState &q = qpState(qp.port, qp.local);
+    // Flush-with-error: complete each posted descriptor with 0 and its
+    // message still at kind Raw, like an RDMA flush error WQE. Completing
+    // only schedules wake-ups, so nothing can post to this QP mid-flush.
+    while (!q.recvs.empty())
+        q.recvs.pop().event.completion.complete(0);
+    while (!q.pending.empty())
+        q.pending.pop();
 }
 
 net::Port &
@@ -161,32 +170,43 @@ SmartDsDevice::pendingMessages() const
 {
     std::size_t n = 0;
     for (const auto &state : portStates_)
-        for (const auto &[qp, q] : state->pendingMsgs)
-            n += q.size();
+        for (const QpState &q : state->qps)
+            n += q.pending.size();
     return n;
 }
 
 void
 SmartDsDevice::onPortReceive(unsigned port_index, net::Message msg)
 {
-    auto &state = *portStates_[port_index];
-    auto &queue = state.recvQueues[msg.dstQp];
-    if (queue.empty()) {
+    QpState &q = qpState(port_index, msg.dstQp);
+    if (q.recvs.empty()) {
         // No descriptor posted yet: the message waits in device memory
         // (the RoCE stack has already landed it in HBM).
-        state.pendingMsgs[msg.dstQp].push_back(std::move(msg));
+        q.pending.push(std::move(msg));
         return;
     }
-    RecvDescriptor desc = std::move(queue.front());
-    queue.pop_front();
-    performSplit(port_index, std::move(desc), std::move(msg));
+    performSplit(port_index, q.recvs.pop(), std::move(msg));
+}
+
+std::uint32_t
+SmartDsDevice::openJoin(unsigned legs, sim::Completion done)
+{
+    return joins_.park(Join{legs, std::move(done)});
+}
+
+void
+SmartDsDevice::JoinLeg::operator()(Tick) const
+{
+    Join &j = device->joins_[join];
+    SMARTDS_CHECK(j.legs > 0, "join arrival past zero");
+    if (--j.legs == 0)
+        device->joins_.take(join).done->complete(0);
 }
 
 void
 SmartDsDevice::performSplit(unsigned port_index, RecvDescriptor desc,
                             net::Message msg)
 {
-    auto &state = *portStates_[port_index];
     const Bytes total = msg.wireBytes();
     const Bytes host_part = std::min(desc.hSize, total);
     const Bytes dev_part = total - host_part;
@@ -231,16 +251,15 @@ SmartDsDevice::performSplit(unsigned port_index, RecvDescriptor desc,
 
     // Timing: fixed split latency, then the header DMA to host memory and
     // the payload write into HBM proceed in parallel.
-    auto latch = std::make_shared<sim::CountLatch>(sim_, 2);
-    auto event = desc.event;
-    // The event's message slot was allocated with the descriptor, so all
-    // Event copies the application holds observe the filled-in message.
-    auto msg_ptr = event.message;
-    *msg_ptr = std::move(msg);
+    sim::Completion both_done(sim_);
+    const std::uint32_t join = openJoin(2, both_done);
+    // The event's message was allocated with the descriptor, so every
+    // Event copy the application holds observes the filled-in message.
+    const std::uint32_t split_depth = static_cast<std::uint32_t>(
+        portStates_[port_index]->qps[msg.dstQp].pending.size());
+    *desc.event.message = std::move(msg);
     trace::Tracer *tracer = fabric_.tracer();
     const Tick split_start = sim_.now();
-    const std::uint32_t split_depth = static_cast<std::uint32_t>(
-        state.pendingMsgs[msg_ptr->dstQp].size());
     sim::spawn(sim_, [](sim::Simulator &sim, sim::Completion both_done,
                         Event ev, Bytes dev_part, trace::Tracer *tracer,
                         Tick start, std::uint32_t depth) -> sim::Process {
@@ -250,44 +269,41 @@ SmartDsDevice::performSplit(unsigned port_index, RecvDescriptor desc,
                            sim.now(), depth);
         }
         ev.completion.complete(dev_part);
-    }(sim_, latch->wait(), event, dev_part, tracer, split_start,
+    }(sim_, both_done, std::move(desc.event), dev_part, tracer, split_start,
       split_depth));
 
     sim_.schedule(
         config_.splitLatency,
-        [this, &state, host_part, dev_part, latch, msg_ptr]() {
-            pcie::DmaEngine::Options options;
-            options.memFlow =
-                config_.headerLlcSteering ? nullptr : hdrWrite_;
-            options.stallOnMemory = false;
-            dma_.write(host_part, options,
-                       [latch](Tick) { latch->arrive(); });
-            state.splitWrite->transfer(dev_part,
-                                       [latch]() { latch->arrive(); });
-            (void)msg_ptr; // keeps the message alive until the split lands
+        [this, port_index, host_part, dev_part, join]() {
+            splitLegs(port_index, host_part, dev_part, join);
         },
         sim::EventTag::Device);
+}
+
+void
+SmartDsDevice::splitLegs(unsigned port_index, Bytes host_part,
+                         Bytes dev_part, std::uint32_t join)
+{
+    pcie::DmaEngine::Options options;
+    options.memFlow = config_.headerLlcSteering ? nullptr : hdrWrite_;
+    options.stallOnMemory = false;
+    dma_.write(host_part, options, JoinLeg{this, join});
+    portStates_[port_index]->splitWrite->transfer(dev_part,
+                                                  JoinLeg{this, join});
 }
 
 SmartDsDevice::Event
 SmartDsDevice::mixedRecv(const Qp &qp, BufferRef h, Bytes h_size,
                          BufferRef d, Bytes d_size)
 {
-    SMARTDS_CHECK(qp.port < portStates_.size(), "bad qp port");
-    auto &state = *portStates_[qp.port];
+    QpState &q = qpState(qp.port, qp.local);
     RecvDescriptor desc{std::move(h), h_size, std::move(d), d_size,
-                        Event{sim::Completion(sim_),
-                              std::make_shared<net::Message>()}};
+                        Event{sim::Completion(sim_), MessageRef::make()}};
     Event event = desc.event;
-
-    auto &pending = state.pendingMsgs[qp.local];
-    if (!pending.empty()) {
-        net::Message msg = std::move(pending.front());
-        pending.pop_front();
-        performSplit(qp.port, std::move(desc), std::move(msg));
-    } else {
-        state.recvQueues[qp.local].push_back(std::move(desc));
-    }
+    if (!q.pending.empty())
+        performSplit(qp.port, std::move(desc), q.pending.pop());
+    else
+        q.recvs.push(std::move(desc));
     return event;
 }
 
@@ -360,12 +376,13 @@ SmartDsDevice::mixedSend(const Qp &qp, BufferRef h, Bytes h_size,
 
     // Gather: header DMA read from host and payload read from HBM run in
     // parallel; the assembled message then serialises onto the wire.
-    auto latch = std::make_shared<sim::CountLatch>(sim_, 2);
+    sim::Completion gathered(sim_);
+    const std::uint32_t join = openJoin(2, gathered);
     pcie::DmaEngine::Options options;
     options.memFlow = hdrRead_;
     options.stallOnMemory = true;
-    dma_.read(h_size, options, [latch](Tick) { latch->arrive(); });
-    state.assembleRead->transfer(d_size, [latch]() { latch->arrive(); });
+    dma_.read(h_size, options, JoinLeg{this, join});
+    state.assembleRead->transfer(d_size, JoinLeg{this, join});
 
     auto *port = state.port;
     const Tick assemble_latency = config_.splitLatency;
@@ -385,8 +402,8 @@ SmartDsDevice::mixedSend(const Qp &qp, BufferRef h, Bytes h_size,
                    [on_sent]() mutable { on_sent.complete(0); });
         co_await on_sent;
         ev.completion.complete(sent);
-    }(sim_, latch->wait(), port, std::move(msg), event, assemble_latency,
-      tracer, assemble_start));
+    }(sim_, std::move(gathered), port, std::move(msg), event,
+      assemble_latency, tracer, assemble_start));
     return event;
 }
 
@@ -504,77 +521,67 @@ SmartDsDevice::devFunc(BufferRef src, Bytes src_size, BufferRef dst,
                    static_cast<unsigned long long>(dst_cap));
 
     Event event{sim::Completion(sim_), nullptr};
-    auto *engine = op == EngineOp::Decompress
-                       ? state.decompressEngine.get()
-                       : state.compressEngine.get();
-    auto *read_flow = state.engineRead;
-    auto *write_flow = state.engineWrite;
-    const bool is_checksum = op == EngineOp::Checksum;
-    trace::Tracer *tracer = tctx ? fabric_.tracer() : nullptr;
-    const Tick engine_start = sim_.now();
-    auto record_engine = [this, tracer, tctx, engine_start]() {
-        if (tracer)
-            tracer->record(tctx, trace::Stage::Engine, engine_start,
-                           sim_.now());
-    };
+    EngineJob job;
+    job.engine = op == EngineOp::Decompress ? state.decompressEngine.get()
+                                            : state.compressEngine.get();
+    job.writeFlow = state.engineWrite;
+    job.srcSize = src_size;
+    job.dst = std::move(dst);
+    // Engine outputs are whole blocks, never RS shards: the ec* fields
+    // stay zero, clearing any stale shard identity left in the buffer.
+    job.result.size = result_size;
+    job.result.compressed = result_compressed;
+    job.result.originalSize = result_original;
+    job.result.compressibility = compressibility;
+    job.result.corrupted = result_corrupted;
+    job.result.blockId = block_id;
+    job.isChecksum = op == EngineOp::Checksum;
+    job.completionValue = completion_value;
+    job.resultBytes = std::move(result_bytes);
+    job.resultShared = std::move(result_shared);
+    job.tracer = tctx ? fabric_.tracer() : nullptr;
+    job.tctx = tctx;
+    job.start = sim_.now();
+    const std::uint32_t parked = engineJobs_.park(std::move(job));
 
     // Pipeline: HBM read -> engine -> HBM write (nothing written back
     // for the scrubbing engine).
-    read_flow->transfer(src_size, [this, engine, write_flow, src_size,
-                                   result_size, result_compressed,
-                                   result_original, result_corrupted,
-                                   compressibility, dst, event, is_checksum,
-                                   completion_value, record_engine, block_id,
-                                   result_shared,
-                                   result_bytes =
-                                       std::move(result_bytes)]() mutable {
-        engine->transfer(src_size, [this, write_flow, result_size,
-                                    result_compressed, result_original,
-                                    result_corrupted, compressibility, dst,
-                                    event, is_checksum, completion_value,
-                                    record_engine, block_id,
-                                    result_shared = std::move(result_shared),
-                                    result_bytes = std::move(
-                                        result_bytes)]() mutable {
-            write_flow->transfer(
-                result_size,
-                [result_size, result_compressed, result_original,
-                 result_corrupted, compressibility, dst, event, is_checksum,
-                 completion_value, record_engine, block_id,
-                 result_shared = std::move(result_shared),
-                 result_bytes = std::move(result_bytes)]() mutable {
-                    record_engine();
-                    if (is_checksum) {
-                        event.completion.complete(completion_value);
-                        return;
-                    }
-                    const std::uint8_t *result_src =
-                        result_shared ? result_shared->data()
-                                      : result_bytes.data();
-                    if (dst->bytes() &&
-                        (result_shared || !result_bytes.empty())) {
-                        const Bytes n = std::min<Bytes>(
-                            result_size, dst->capacity());
-                        std::memcpy(dst->bytes()->data(), result_src, n);
-                    }
-                    dst->content.size = result_size;
-                    dst->content.compressed = result_compressed;
-                    dst->content.originalSize = result_original;
-                    dst->content.compressibility = compressibility;
-                    dst->content.corrupted = result_corrupted;
-                    dst->content.blockId = block_id;
-                    // Engine outputs are whole blocks, never RS shards:
-                    // clear any stale shard identity left in the buffer.
-                    dst->content.ecK = 0;
-                    dst->content.ecM = 0;
-                    dst->content.ecShard = 0;
-                    dst->content.ecShardChecksum = 0;
-                    dst->content.ecStripeBytes = 0;
-                    event.completion.complete(result_size);
-                });
-        });
-    });
+    state.engineRead->transfer(src_size,
+                               [this, parked, done = event.completion]() {
+                                   engineStage(parked, done);
+                               });
     return event;
+}
+
+void
+SmartDsDevice::engineStage(std::uint32_t job, sim::Completion done)
+{
+    EngineJob &j = engineJobs_[job];
+    j.engine->transfer(j.srcSize, [this, job, done = std::move(done)]() {
+        EngineJob &jj = engineJobs_[job];
+        jj.writeFlow->transfer(jj.result.size,
+                               [this, job, done]() { engineDone(job, done); });
+    });
+}
+
+void
+SmartDsDevice::engineDone(std::uint32_t job, sim::Completion done)
+{
+    EngineJob j = engineJobs_.take(job);
+    if (j.tracer)
+        j.tracer->record(j.tctx, trace::Stage::Engine, j.start, sim_.now());
+    if (j.isChecksum) {
+        done.complete(j.completionValue);
+        return;
+    }
+    const std::uint8_t *result_src =
+        j.resultShared ? j.resultShared->data() : j.resultBytes.data();
+    if (j.dst->bytes() && (j.resultShared || !j.resultBytes.empty())) {
+        const Bytes n = std::min<Bytes>(j.result.size, j.dst->capacity());
+        std::memcpy(j.dst->bytes()->data(), result_src, n);
+    }
+    j.dst->content = j.result;
+    done.complete(j.result.size);
 }
 
 SmartDsDevice::Event
@@ -589,7 +596,6 @@ SmartDsDevice::ecEncode(BufferRef src, Bytes src_size,
                    "ecEncode wants k + m shard buffers, got %zu for "
                    "RS(%u, %u)",
                    shards.size(), k, m);
-    auto &state = *portStates_[port];
     const Bytes shard_bytes = ec::RsCodec::shardSize(src_size, k);
     for (const auto &shard : shards)
         SMARTDS_CHECK(shard && shard->capacity() >= shard_bytes,
@@ -604,49 +610,93 @@ SmartDsDevice::ecEncode(BufferRef src, Bytes src_size,
     }
 
     Event event{sim::Completion(sim_), nullptr};
-    const Bytes shard_total = shard_bytes * static_cast<Bytes>(shards.size());
-    trace::Tracer *tracer = tctx ? fabric_.tracer() : nullptr;
-    const Tick start = sim_.now();
-    auto finish = [this, src, shards, k, m, src_size, shard_bytes, event,
-                   tracer, tctx, start,
-                   encoded = std::move(encoded)]() mutable {
-        for (unsigned s = 0; s < shards.size(); ++s) {
-            auto &shard = *shards[s];
+    EcJob job;
+    job.port = port;
+    job.engineBytes = src_size;
+    job.writeBytes = shard_bytes * static_cast<Bytes>(shards.size());
+    job.encode = true;
+    job.src = std::move(src);
+    job.shards = shards;
+    job.encoded = std::move(encoded);
+    job.k = k;
+    job.m = m;
+    job.srcSize = src_size;
+    job.shardBytes = shard_bytes;
+    job.tracer = tctx ? fabric_.tracer() : nullptr;
+    job.tctx = tctx;
+    job.start = sim_.now();
+    // Pipeline: HBM read -> GF(256) MAC array -> HBM write of all shards.
+    runEcJob(ecJobs_.park(std::move(job)), src_size, event.completion);
+    return event;
+}
+
+void
+SmartDsDevice::runEcJob(std::uint32_t job, Bytes read_bytes,
+                        sim::Completion done)
+{
+    PortState &state = *portStates_[ecJobs_[job].port];
+    state.engineRead->transfer(read_bytes, [this, &state, job,
+                                            done = std::move(done)]() {
+        state.ecEngine->transfer(
+            ecJobs_[job].engineBytes, [this, &state, job, done]() {
+                state.engineWrite->transfer(
+                    ecJobs_[job].writeBytes,
+                    [this, job, done]() { ecDone(job, done); });
+            });
+    });
+}
+
+void
+SmartDsDevice::ecDone(std::uint32_t job, sim::Completion done)
+{
+    EcJob j = ecJobs_.take(job);
+    if (j.encode) {
+        const BufferContent &src = j.src->content;
+        for (unsigned s = 0; s < j.shards.size(); ++s) {
+            auto &shard = *j.shards[s];
             std::uint32_t checksum = 0;
-            if (!encoded.empty() && shard.bytes()) {
-                std::memcpy(shard.bytes()->data(), encoded[s].data(),
-                            shard_bytes);
-                checksum = xxhash32(encoded[s].data(), shard_bytes);
+            if (!j.encoded.empty() && shard.bytes()) {
+                std::memcpy(shard.bytes()->data(), j.encoded[s].data(),
+                            j.shardBytes);
+                checksum = xxhash32(j.encoded[s].data(), j.shardBytes);
             }
-            shard.content.size = shard_bytes;
-            shard.content.compressed = src->content.compressed;
-            shard.content.originalSize = src->content.originalSize;
-            shard.content.compressibility = src->content.compressibility;
-            shard.content.corrupted = src->content.corrupted;
-            shard.content.blockId = src->content.blockId;
-            shard.content.ecK = static_cast<std::uint8_t>(k);
-            shard.content.ecM = static_cast<std::uint8_t>(m);
+            shard.content.size = j.shardBytes;
+            shard.content.compressed = src.compressed;
+            shard.content.originalSize = src.originalSize;
+            shard.content.compressibility = src.compressibility;
+            shard.content.corrupted = src.corrupted;
+            shard.content.blockId = src.blockId;
+            shard.content.ecK = static_cast<std::uint8_t>(j.k);
+            shard.content.ecM = static_cast<std::uint8_t>(j.m);
             shard.content.ecShard = static_cast<std::uint8_t>(s);
             shard.content.ecShardChecksum = checksum;
-            shard.content.ecStripeBytes = src_size;
+            shard.content.ecStripeBytes = j.srcSize;
         }
-        if (tracer)
-            tracer->record(tctx, trace::Stage::EcEncode, start, sim_.now());
-        event.completion.complete(shard_bytes);
-    };
-
-    // Pipeline: HBM read -> GF(256) MAC array -> HBM write of all shards.
-    state.engineRead->transfer(
-        src_size, [&state, src_size, shard_total,
-                   finish = std::move(finish)]() mutable {
-            state.ecEngine->transfer(
-                src_size, [&state, shard_total,
-                           finish = std::move(finish)]() mutable {
-                    state.engineWrite->transfer(shard_total,
-                                                std::move(finish));
-                });
-        });
-    return event;
+        if (j.tracer)
+            j.tracer->record(j.tctx, trace::Stage::EcEncode, j.start,
+                             sim_.now());
+        done.complete(j.shardBytes);
+        return;
+    }
+    if (j.dst->bytes() && !j.result.empty()) {
+        const Bytes n = std::min<Bytes>(j.result.size(), j.dst->capacity());
+        std::memcpy(j.dst->bytes()->data(), j.result.data(), n);
+    }
+    j.dst->content.size = j.stripeBytes;
+    j.dst->content.compressed = j.meta.compressed;
+    j.dst->content.originalSize = j.meta.originalSize;
+    j.dst->content.compressibility = j.meta.compressibility;
+    j.dst->content.corrupted = j.corrupted;
+    j.dst->content.blockId = j.meta.blockId;
+    j.dst->content.ecK = 0;
+    j.dst->content.ecM = 0;
+    j.dst->content.ecShard = 0;
+    j.dst->content.ecShardChecksum = 0;
+    j.dst->content.ecStripeBytes = 0;
+    if (j.tracer)
+        j.tracer->record(j.tctx, trace::Stage::EcDecode, j.start,
+                         sim_.now());
+    done.complete(j.stripeBytes);
 }
 
 SmartDsDevice::Event
@@ -661,7 +711,6 @@ SmartDsDevice::ecDecode(
     SMARTDS_CHECK(dst->capacity() >= stripe_bytes,
                    "EC destination smaller than the stripe");
     SMARTDS_CHECK(!shards.empty(), "ecDecode with no shards");
-    auto &state = *portStates_[port];
     const Bytes shard_bytes = ec::RsCodec::shardSize(stripe_bytes, k);
 
     // Metadata travels on every shard; take it from the first.
@@ -696,43 +745,21 @@ SmartDsDevice::ecDecode(
     }
 
     Event event{sim::Completion(sim_), nullptr};
-    const Bytes read_bytes = shard_bytes * static_cast<Bytes>(k);
-    trace::Tracer *tracer = tctx ? fabric_.tracer() : nullptr;
-    const Tick start = sim_.now();
-    const BufferContent meta = exemplar.content;
-    auto finish = [this, dst, stripe_bytes, corrupted, meta, event, tracer,
-                   tctx, start, result = std::move(result)]() mutable {
-        if (dst->bytes() && !result.empty()) {
-            const Bytes n = std::min<Bytes>(result.size(), dst->capacity());
-            std::memcpy(dst->bytes()->data(), result.data(), n);
-        }
-        dst->content.size = stripe_bytes;
-        dst->content.compressed = meta.compressed;
-        dst->content.originalSize = meta.originalSize;
-        dst->content.compressibility = meta.compressibility;
-        dst->content.corrupted = corrupted;
-        dst->content.blockId = meta.blockId;
-        dst->content.ecK = 0;
-        dst->content.ecM = 0;
-        dst->content.ecShard = 0;
-        dst->content.ecShardChecksum = 0;
-        dst->content.ecStripeBytes = 0;
-        if (tracer)
-            tracer->record(tctx, trace::Stage::EcDecode, start, sim_.now());
-        event.completion.complete(stripe_bytes);
-    };
-
+    EcJob job;
+    job.port = port;
+    job.engineBytes = stripe_bytes;
+    job.writeBytes = stripe_bytes;
+    job.dst = std::move(dst);
+    job.stripeBytes = stripe_bytes;
+    job.corrupted = corrupted;
+    job.meta = exemplar.content;
+    job.result = std::move(result);
+    job.tracer = tctx ? fabric_.tracer() : nullptr;
+    job.tctx = tctx;
+    job.start = sim_.now();
     // Pipeline: read k shards from HBM -> MAC array -> write the stripe.
-    state.engineRead->transfer(
-        read_bytes, [&state, stripe_bytes,
-                     finish = std::move(finish)]() mutable {
-            state.ecEngine->transfer(
-                stripe_bytes, [&state, stripe_bytes,
-                               finish = std::move(finish)]() mutable {
-                    state.engineWrite->transfer(stripe_bytes,
-                                                std::move(finish));
-                });
-        });
+    runEcJob(ecJobs_.park(std::move(job)),
+             shard_bytes * static_cast<Bytes>(k), event.completion);
     return event;
 }
 

@@ -17,14 +17,26 @@
  * payloads HBM-to-HBM. Only descriptors and headers ever cross PCIe,
  * which is why one host drives many ports and many cards (Sections 4.2,
  * 5.4, 5.5).
+ *
+ * Bookkeeping. Each port keeps a per-QP table, a vector indexed by QpId:
+ * createQp() hands ids out densely per port from 1, and each entry holds
+ * two FIFO rings, the posted recv descriptors and the messages that
+ * arrived before a descriptor. A message addressed to an id the port
+ * never created is a checked error rather than a silently created queue.
+ * In-flight split/assemble joins and engine jobs are parked in slot
+ * tables, so every stage's closure is a pointer plus a slot and fits the
+ * kernel's inline callback buffer; once warm, a request through the
+ * device allocates nothing.
  */
 
 #ifndef SMARTDS_SMARTDS_DEVICE_H_
 #define SMARTDS_SMARTDS_DEVICE_H_
 
-#include <deque>
-#include <map>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <new>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,6 +46,7 @@
 #include "net/fabric.h"
 #include "pcie/pcie.h"
 #include "sim/bandwidth_server.h"
+#include "sim/parking.h"
 #include "sim/process.h"
 #include "smartds/buffers.h"
 #include "smartds/device_memory.h"
@@ -58,6 +71,71 @@ enum class EngineOp : std::uint8_t
     Compress,
     Decompress,
     Checksum,
+};
+
+/**
+ * Handle to a received message, as Event::message carries it: shared by
+ * every copy of the Event, read like a pointer (`if (e.message)`,
+ * `e.message->tag`, `*e.message`). mixedRecv() creates the message empty
+ * (kind Raw) with its descriptor; the Split fills it in when a message
+ * is matched, and a QP flush leaves it empty. The message lives as long
+ * as any handle does, in a block of the per-thread sim pool
+ * (sim::detail::BlockPool) counted with a plain integer — the same
+ * locality rule as sim::Completion: a handle never leaves the timing
+ * domain of the device that made it.
+ */
+class MessageRef
+{
+  public:
+    MessageRef() = default;
+    MessageRef(std::nullptr_t) {} // NOLINT: implicit, like a pointer
+
+    /** A handle to a fresh, empty message. */
+    static MessageRef
+    make()
+    {
+        MessageRef ref;
+        ref.box_ = ::new (sim::detail::blockPool().allocate(sizeof(Box)))
+            Box{};
+        return ref;
+    }
+
+    MessageRef(const MessageRef &other) noexcept : box_(other.box_)
+    {
+        if (box_)
+            ++box_->refs;
+    }
+    MessageRef(MessageRef &&other) noexcept
+        : box_(std::exchange(other.box_, nullptr))
+    {
+    }
+    MessageRef &
+    operator=(MessageRef other) noexcept
+    {
+        std::swap(box_, other.box_);
+        return *this;
+    }
+    ~MessageRef()
+    {
+        if (box_ && --box_->refs == 0) {
+            box_->~Box();
+            sim::detail::blockPool().deallocate(box_, sizeof(Box));
+        }
+    }
+
+    explicit operator bool() const { return box_ != nullptr; }
+    net::Message *get() const { return box_ ? &box_->msg : nullptr; }
+    net::Message *operator->() const { return &box_->msg; }
+    net::Message &operator*() const { return box_->msg; }
+
+  private:
+    struct Box
+    {
+        net::Message msg;
+        unsigned refs = 1;
+    };
+
+    Box *box_ = nullptr;
 };
 
 /** The SmartDS SmartNIC. */
@@ -133,12 +211,13 @@ class SmartDsDevice
      * An asynchronous completion event, as returned by the Table 2 API
      * calls. size() is the completion's byte count (received payload
      * size, engine output size, or bytes sent); message points at the
-     * matched network message on receive paths.
+     * matched network message on receive paths (see MessageRef for its
+     * lifetime) and is null on the others.
      */
     struct Event
     {
         sim::Completion completion;
-        std::shared_ptr<net::Message> message;
+        MessageRef message;
 
         Bytes size() const { return completion.value(); }
     };
@@ -278,6 +357,15 @@ class SmartDsDevice
         Event event;
     };
 
+    /** One queue pair's receive side. */
+    struct QpState
+    {
+        /** Posted recv descriptors, oldest first. */
+        sim::Ring<RecvDescriptor> recvs;
+        /** Messages landed in HBM before a descriptor was posted. */
+        sim::Ring<net::Message> pending;
+    };
+
     struct PortState
     {
         net::Port *port = nullptr;
@@ -288,17 +376,96 @@ class SmartDsDevice
         sim::FairShareResource::Flow *assembleRead = nullptr;
         sim::FairShareResource::Flow *engineRead = nullptr;
         sim::FairShareResource::Flow *engineWrite = nullptr;
-        // Ordered maps: pendingMessages() iterates these, and QP counts
-        // per port are tiny — hash-order iteration is the risk, not the
-        // lookup cost.
-        std::map<net::QpId, std::deque<RecvDescriptor>> recvQueues;
-        std::map<net::QpId, std::deque<net::Message>> pendingMsgs;
-        net::QpId nextQp = 1;
+        /** Indexed by QpId; entry 0 is never handed out. */
+        std::vector<QpState> qps;
     };
+
+    /**
+     * A join of parallel legs (split: header DMA + HBM write; assemble:
+     * header DMA + HBM read): the last leg to arrive completes @ref done.
+     */
+    struct Join
+    {
+        unsigned legs = 0;
+        std::optional<sim::Completion> done;
+    };
+
+    /** One leg of join @ref join: a DMA or a transfer completion. */
+    struct JoinLeg
+    {
+        SmartDsDevice *device;
+        std::uint32_t join;
+
+        void operator()(Tick = 0) const;
+    };
+
+    /** A dev_func call between its HBM read and its HBM write. */
+    struct EngineJob
+    {
+        sim::BandwidthServer *engine = nullptr;
+        sim::FairShareResource::Flow *writeFlow = nullptr;
+        Bytes srcSize = 0;
+        BufferRef dst;
+        BufferContent result;
+        bool isChecksum = false;
+        std::uint64_t completionValue = 0;
+        std::vector<std::uint8_t> resultBytes;
+        /** Cache hit: the result is a shared immutable buffer instead. */
+        std::shared_ptr<const std::vector<std::uint8_t>> resultShared;
+        trace::Tracer *tracer = nullptr;
+        trace::TraceContext tctx;
+        Tick start = 0;
+    };
+
+    /** An ecEncode/ecDecode call between its HBM read and write. */
+    struct EcJob
+    {
+        unsigned port = 0;
+        Bytes engineBytes = 0;
+        Bytes writeBytes = 0;
+        bool encode = false;
+        // encode
+        BufferRef src;
+        std::vector<BufferRef> shards;
+        std::vector<std::vector<std::uint8_t>> encoded;
+        unsigned k = 0;
+        unsigned m = 0;
+        Bytes srcSize = 0;
+        Bytes shardBytes = 0;
+        // decode
+        BufferRef dst;
+        Bytes stripeBytes = 0;
+        bool corrupted = false;
+        BufferContent meta;
+        std::vector<std::uint8_t> result;
+        trace::Tracer *tracer = nullptr;
+        trace::TraceContext tctx;
+        Tick start = 0;
+    };
+
+    /** The receive state of @p qp (checked: the port must have made it). */
+    QpState &qpState(unsigned port, net::QpId qp);
 
     void onPortReceive(unsigned port_index, net::Message msg);
     void performSplit(unsigned port_index, RecvDescriptor desc,
                       net::Message msg);
+
+    /** Open a join of @p legs legs that completes @p done. */
+    std::uint32_t openJoin(unsigned legs, sim::Completion done);
+
+    /** The split's parallel legs, after the split latency. */
+    void splitLegs(unsigned port_index, Bytes host_part, Bytes dev_part,
+                   std::uint32_t join);
+
+    /** Engine stage of devFunc job @p job; then its HBM write. */
+    void engineStage(std::uint32_t job, sim::Completion done);
+    /** devFunc job @p job's result has landed in HBM. */
+    void engineDone(std::uint32_t job, sim::Completion done);
+
+    /** Run EC job @p job through read -> MAC array -> write. */
+    void runEcJob(std::uint32_t job, Bytes read_bytes, sim::Completion done);
+    /** EC job @p job's shards (or stripe) have landed in HBM. */
+    void ecDone(std::uint32_t job, sim::Completion done);
 
     net::Fabric &fabric_;
     sim::Simulator &sim_;
@@ -312,6 +479,9 @@ class SmartDsDevice
     sim::FairShareResource::Flow *hdrRead_ = nullptr;
     std::uint64_t nextHostAddr_ = 0;
     std::vector<std::unique_ptr<PortState>> portStates_;
+    sim::SlotTable<Join> joins_;
+    sim::SlotTable<EngineJob> engineJobs_;
+    sim::SlotTable<EcJob> ecJobs_;
 };
 
 } // namespace smartds::device

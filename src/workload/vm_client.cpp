@@ -34,11 +34,11 @@ VmClient::VmClient(net::Fabric &fabric, const std::string &name,
 void
 VmClient::onReply(net::Message msg)
 {
-    const auto it = pending_.find(msg.tag);
-    SMARTDS_CHECK(it != pending_.end(), "reply for unknown tag %llu",
+    sim::Completion *pending = pending_.find(msg.tag);
+    SMARTDS_CHECK(pending, "reply for unknown tag %llu",
                    static_cast<unsigned long long>(msg.tag));
-    sim::Completion done = it->second;
-    pending_.erase(it);
+    sim::Completion done = *pending;
+    pending_.erase(msg.tag);
     done.complete(msg.payload.size);
 }
 
@@ -181,7 +181,7 @@ VmClient::issuer(unsigned index)
         }
 
         sim::Completion done(sim_);
-        pending_.emplace(tag, done);
+        pending_.tryEmplace(tag, done);
         ++config_.metrics->issued;
         const Tick issue = sim_.now();
         port_->send(std::move(msg));

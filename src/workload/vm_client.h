@@ -15,7 +15,6 @@
 #define SMARTDS_WORKLOAD_VM_CLIENT_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/calibration.h"
@@ -25,6 +24,7 @@
 #include "corpus/block_cache.h"
 #include "corpus/corpus.h"
 #include "net/fabric.h"
+#include "sim/flat_map.h"
 #include "sim/process.h"
 
 namespace smartds::workload {
@@ -118,7 +118,8 @@ class VmClient
     net::Port *port_;
     Rng rng_;
     bool running_ = true;
-    std::unordered_map<std::uint64_t, sim::Completion> pending_;
+    /** Requests awaiting their reply, by tag. */
+    sim::FlatMap<std::uint64_t, sim::Completion> pending_;
 };
 
 } // namespace smartds::workload

@@ -7,24 +7,37 @@
  * FairShareResource flow transfer, a 4 KiB DmaEngine read and write, a
  * Port::send to receive hop, a Completion awaited by a Process, a
  * CountLatch join, a spawned Process run to completion, and a Task
- * awaited by a Process.
+ * awaited by a Process. The hot-path callback parameters — a DMA
+ * completion, a queued CorePool item, a Port send completion and a
+ * Completion callback — are checked with captures too large for
+ * std::function's local buffer (shared_ptrs, a 40-byte struct).
  * Figure sweeps run hundreds of millions of these, so an allocation that
  * creeps back into one shows up here rather than as a slower benchmark.
+ *
+ * Whole request paths get a budget instead of zero: each design's
+ * steady-state allocations per request, measured as the difference
+ * between a 5 ms and a 15 ms measurement window of the default timing
+ * configuration, for 100% writes and for half reads.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
+#include "host/core_pool.h"
 #include "net/fabric.h"
 #include "pcie/pcie.h"
 #include "sim/bandwidth_server.h"
 #include "sim/fair_share.h"
 #include "sim/process.h"
 #include "sim/simulator.h"
+#include "workload/experiment.h"
 
 namespace {
 
@@ -292,6 +305,164 @@ TEST(HotPathAllocs, TaskAwaitedByAProcess)
     round(); // warm-up: Task frames return to the pool as they finish
     EXPECT_EQ(allocationsDuring(round), 0u);
     EXPECT_EQ(finished, 32);
+}
+
+TEST(HotPathAllocs, DmaCallbackCapturingSharedPointers)
+{
+    sim::Simulator sim;
+    pcie::PcieLink link(sim, "pcie");
+    pcie::DmaEngine dma(sim, "dma", nullptr, {&link.h2d()}, {&link.d2h()});
+    auto a = std::make_shared<int>(0);
+    auto b = std::make_shared<int>(0);
+    // The device's split and assemble legs: each DMA completion holds
+    // shared state, which std::function boxes on every call.
+    auto round = [&]() {
+        for (int i = 0; i < 8; ++i) {
+            dma.read(4096, {}, [a, b](Tick) { ++*a; });
+            dma.write(4096, {}, [a, b](Tick) { ++*b; });
+        }
+        sim.run();
+    };
+    round();
+    EXPECT_EQ(allocationsDuring(round), 0u);
+    EXPECT_EQ(*a, 16);
+    EXPECT_EQ(*b, 16);
+}
+
+TEST(HotPathAllocs, QueuedCorePoolItem)
+{
+    sim::Simulator sim;
+    host::CorePool pool(sim, "cores", 2);
+    std::uint64_t sum = 0;
+    // A 40-byte capture, submitted while both cores are busy, so the
+    // item waits in the pool's queue before it runs.
+    struct Work
+    {
+        std::uint64_t *sum;
+        std::array<std::uint64_t, 4> words;
+    };
+    static_assert(sizeof(Work) == 40);
+    auto round = [&]() {
+        for (std::uint64_t i = 0; i < 16; ++i) {
+            Work w{&sum, {i, 1, 2, 3}};
+            pool.execute(1_us, [w]() { *w.sum += w.words[0] + w.words[3]; });
+        }
+        sim.run();
+    };
+    round();
+    EXPECT_EQ(allocationsDuring(round), 0u);
+    EXPECT_EQ(sum, 2 * (120u + 48u));
+}
+
+TEST(HotPathAllocs, PortSendCompletionCallback)
+{
+    sim::Simulator sim;
+    net::Fabric fabric(sim);
+    net::Port *a = fabric.createPort("a");
+    net::Port *b = fabric.createPort("b");
+    b->onReceive([](net::Message) {});
+    auto sent = std::make_shared<int>(0);
+    auto round = [&]() {
+        for (int i = 0; i < 16; ++i) {
+            net::Message msg;
+            msg.dst = b->id();
+            msg.payload.size = 4096;
+            a->send(std::move(msg), [sent]() { ++*sent; });
+        }
+        sim.run();
+    };
+    round();
+    EXPECT_EQ(allocationsDuring(round), 0u);
+    EXPECT_EQ(*sent, 32);
+}
+
+TEST(HotPathAllocs, CompletionCallbackCapturingASharedPointer)
+{
+    sim::Simulator sim;
+    auto total = std::make_shared<std::uint64_t>(0);
+    // The ack forwarders: a plain callback on a Completion that may
+    // never fire, holding shared state.
+    auto round = [&]() {
+        for (int i = 0; i < 16; ++i) {
+            sim::Completion done(sim);
+            done.onComplete([total](std::uint64_t v) { *total += v; });
+            sim.schedule(10_ns, [done]() mutable { done.complete(2); });
+        }
+        sim.run();
+    };
+    round();
+    EXPECT_EQ(allocationsDuring(round), 0u);
+    EXPECT_EQ(*total, 64u);
+}
+
+/** Result of one run of the per-request allocation probe. */
+struct RunCount
+{
+    std::uint64_t allocations = 0;
+    std::uint64_t requests = 0;
+};
+
+RunCount
+countRun(middletier::Design design, double read_fraction, Tick window)
+{
+    workload::ExperimentConfig config;
+    config.design = design;
+    config.readFraction = read_fraction;
+    config.window = window;
+    RunCount c;
+    c.allocations = allocationsDuring([&]() {
+        c.requests = workload::runWriteExperiment(config).requestsCompleted;
+    });
+    return c;
+}
+
+/**
+ * Steady-state allocations per request of @p design: the allocations
+ * and requests of a 15 ms window minus those of a 5 ms one, so setup,
+ * warmup and teardown cancel out. A first, discarded 5 ms run fills the
+ * thread's sim block pool, which both measured runs then start from.
+ */
+double
+allocationsPerRequest(middletier::Design design, double read_fraction)
+{
+    countRun(design, read_fraction, 5_ms);
+    const RunCount short_run = countRun(design, read_fraction, 5_ms);
+    const RunCount long_run = countRun(design, read_fraction, 15_ms);
+    EXPECT_GT(long_run.requests, short_run.requests);
+    // Signed: once the request path allocates nothing, the longer run
+    // may allocate a few fewer times than the shorter one (pools and
+    // containers grow at different points).
+    const double per_request =
+        (static_cast<double>(long_run.allocations) -
+         static_cast<double>(short_run.allocations)) /
+        static_cast<double>(long_run.requests - short_run.requests);
+    std::printf("  %-8s %3.0f%% reads: %6.2f allocations per request\n",
+                middletier::designName(design), read_fraction * 100.0,
+                per_request);
+    return per_request;
+}
+
+TEST(HotPathAllocs, WriteRequestBudgetPerDesign)
+{
+    // SmartDS's request path runs through the device API (split, engine,
+    // assemble per replica) and keeps its ack receives posted; the host
+    // designs run one pooled coroutine per request.
+    EXPECT_LE(allocationsPerRequest(middletier::Design::SmartDs, 0.0), 10.0);
+    EXPECT_LE(allocationsPerRequest(middletier::Design::CpuOnly, 0.0), 5.0);
+    EXPECT_LE(allocationsPerRequest(middletier::Design::Accelerator, 0.0),
+              5.0);
+    EXPECT_LE(allocationsPerRequest(middletier::Design::Bf2, 0.0), 5.0);
+}
+
+TEST(HotPathAllocs, ReadMixBudgetPerDesign)
+{
+    // Half reads share the write budgets: a read still copies its
+    // replica candidate list, but nothing per hop or per replica.
+    EXPECT_LE(allocationsPerRequest(middletier::Design::SmartDs, 0.5), 10.0);
+    EXPECT_LE(allocationsPerRequest(middletier::Design::CpuOnly, 0.5), 5.0);
+    EXPECT_LE(allocationsPerRequest(middletier::Design::Accelerator, 0.5),
+              5.0);
+    EXPECT_LE(allocationsPerRequest(middletier::Design::Bf2, 0.5), 5.0);
 }
 
 } // namespace
