@@ -155,7 +155,8 @@ AcceleratorServer::rsDecode(const net::Message &req, Bytes in, Bytes stripe)
 }
 
 sim::Task
-AcceleratorServer::cacheHit(const net::Message &)
+AcceleratorServer::cacheHit(unsigned, const net::Message &,
+                            const HotBlockCache::Entry &)
 {
     // Hot-block cache in host DRAM: the hit skips the storage fetch and
     // the FPGA trip entirely.

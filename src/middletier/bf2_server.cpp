@@ -130,7 +130,8 @@ Bf2Server::rsDecode(const net::Message &req, Bytes in, Bytes stripe)
 }
 
 sim::Task
-Bf2Server::cacheHit(const net::Message &)
+Bf2Server::cacheHit(unsigned, const net::Message &,
+                    const HotBlockCache::Entry &)
 {
     // Hot-block cache in device DRAM: a hit costs one DRAM read of the
     // plain bytes — the reply's own TX read — and no fabric fetch or

@@ -146,7 +146,8 @@ CpuOnlyServer::rsDecode(const net::Message &req, Bytes in, Bytes stripe)
 }
 
 sim::Task
-CpuOnlyServer::cacheHit(const net::Message &)
+CpuOnlyServer::cacheHit(unsigned, const net::Message &,
+                        const HotBlockCache::Entry &)
 {
     // The plaintext is already in host memory: one request's software
     // cost, then the reply DMA reads it.

@@ -46,7 +46,8 @@ class CpuOnlyServer : public PerRequestServer
                          Bytes out) override;
     sim::Task rsDecode(const net::Message &req, Bytes in,
                        Bytes stripe) override;
-    sim::Task cacheHit(const net::Message &req) override;
+    sim::Task cacheHit(unsigned owner, const net::Message &req,
+                       const HotBlockCache::Entry &block) override;
     void toStorage(unsigned port, unsigned lane, net::Message msg,
                    bool first) override;
     sim::Task toClient(unsigned port, net::Message reply) override;

@@ -6,11 +6,8 @@
 #include "common/check.h"
 #include "common/checksum.h"
 #include "common/logging.h"
-#include "corpus/block_cache.h"
 #include "ec/reed_solomon.h"
-#include "lz4/lz4.h"
 #include "middletier/maintenance.h"
-#include "middletier/protocol.h"
 
 namespace smartds::middletier {
 
@@ -349,101 +346,6 @@ MiddleTierServer::takeFetchReply(std::uint64_t tag)
     return reply;
 }
 
-MiddleTierServer::VerifiedBlock
-MiddleTierServer::verifyFetchedBlock(const ServerConfig &config,
-                                     const net::Message &reply)
-{
-    VerifiedBlock out;
-    out.corrupt = reply.payload.corrupted;
-    if (out.corrupt || !reply.payload.data)
-        return out;
-    const StorageHeader *hdr_ptr = nullptr;
-    StorageHeader hdr;
-    if (reply.headerData &&
-        reply.headerData->size() >= StorageHeader::wireSize) {
-        hdr = StorageHeader::decode(reply.headerData->data());
-        hdr_ptr = &hdr;
-    }
-    const corpus::BlockCodecCache::Entry *cached =
-        config.blockCache
-            ? config.blockCache->lookupCompressed(reply.payload.blockId,
-                                                  reply.payload.data->data(),
-                                                  reply.payload.data->size())
-            : nullptr;
-    if (cached) {
-        // The hash guard proved the stored bytes are the cached
-        // compressed block, so decompression is a lookup; the header
-        // checksum is still compared, as on the slow path.
-        if (hdr_ptr && hdr_ptr->blockChecksum != 0 &&
-            cached->plainChecksum != hdr_ptr->blockChecksum) {
-            out.corrupt = true;
-            return out;
-        }
-        out.plain = cached->plain;
-        return out;
-    }
-    const Bytes plain_size = reply.payload.originalSize
-                                 ? reply.payload.originalSize
-                                 : reply.payload.size;
-    auto plain = lz4::decompress(*reply.payload.data, plain_size);
-    if (!plain) {
-        out.corrupt = true;
-        return out;
-    }
-    if (hdr_ptr && hdr_ptr->blockChecksum != 0 &&
-        xxhash32(*plain) != hdr_ptr->blockChecksum) {
-        out.corrupt = true;
-        return out;
-    }
-    out.plain =
-        std::make_shared<const std::vector<std::uint8_t>>(std::move(*plain));
-    return out;
-}
-
-MiddleTierServer::VerifiedBlock
-MiddleTierServer::decodeEcStripe(const ServerConfig &config,
-                                 const std::vector<unsigned> &shard_idx,
-                                 const std::vector<net::Message> &shard_msgs,
-                                 Bytes stripe_bytes)
-{
-    VerifiedBlock out;
-    if (shard_msgs.empty() || !shard_msgs.front().payload.data)
-        return out; // timing-only stripe: nothing to reassemble
-    std::vector<std::pair<unsigned, const std::vector<std::uint8_t> *>>
-        pairs;
-    pairs.reserve(shard_idx.size());
-    for (std::size_t i = 0; i < shard_idx.size(); ++i)
-        pairs.emplace_back(shard_idx[i], shard_msgs[i].payload.data.get());
-    auto stripe = ecCodec(config).decode(pairs, stripe_bytes);
-    if (!stripe) {
-        out.corrupt = true;
-        return out;
-    }
-    // The stripe is the compressed block; decompress and verify the
-    // header checksum the VM stamped at write time.
-    const net::Message &stored = shard_msgs.front();
-    const Bytes plain_size = stored.payload.originalSize
-                                 ? stored.payload.originalSize
-                                 : stripe_bytes;
-    auto plain = lz4::decompress(*stripe, plain_size);
-    if (!plain) {
-        out.corrupt = true;
-        return out;
-    }
-    if (stored.headerData &&
-        stored.headerData->size() >= StorageHeader::wireSize) {
-        const StorageHeader hdr =
-            StorageHeader::decode(stored.headerData->data());
-        if (hdr.blockChecksum != 0 && xxhash32(*plain) != hdr.blockChecksum) {
-            out.corrupt = true;
-            return out;
-        }
-    }
-    out.plain =
-        std::make_shared<const std::vector<std::uint8_t>>(std::move(*plain));
-    return out;
-}
-
 net::NodeId
 MiddleTierServer::pickReplacement(const ServerConfig &config, Rng &rng,
                                   const std::vector<net::NodeId> &placement,
@@ -609,8 +511,7 @@ MiddleTierServer::encodeShards(const ServerConfig &config, std::uint64_t tag,
             p.data = std::move(bytes);
         }
     }
-    ++failover_.stripesEncoded;
-    ecLedgerOpen(tag, n);
+    openStripe(tag, n);
     return shards;
 }
 

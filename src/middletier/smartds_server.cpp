@@ -15,10 +15,8 @@ using device::SmartDsDevice;
 
 SmartDsServer::SmartDsServer(net::Fabric &fabric, mem::MemorySystem &memory,
                              ServerConfig config, SmartDsConfig smartds)
-    : sim_(fabric.simulator()), fabric_(fabric), config_(std::move(config)),
-      smartds_(smartds),
-      cores_(sim_, "smartds.cores", config_.cores),
-      rng_(config_.seed)
+    : PerRequestServer(fabric, std::move(config)), smartds_(smartds),
+      cores_(sim_, "smartds.cores", config_.cores)
 {
     smartds_.device.ports = smartds_.ports;
     smartds_.device.effort = config_.effort;
@@ -27,7 +25,6 @@ SmartDsServer::SmartDsServer(net::Fabric &fabric, mem::MemorySystem &memory,
         smartds_.device.ecEngine = true;
     device_ = std::make_unique<SmartDsDevice>(fabric, "smartds", &memory,
                                               smartds_.device);
-    initFailover(config_);
     if (readCache_ &&
         config_.readCache.placement == ReadCachePlacement::DeviceHbm) {
         // The cache's capacity comes out of the HBM budget (alloc is
@@ -190,422 +187,260 @@ SmartDsServer::worker(Worker &w)
     }
     w.fetchQp = device_->createQp(port);
     w.replyQp = device_->createQp(port);
-    // Short names for the loop below.
-    const device::BufferRef &h_recv = w.hRecv;
-    const device::BufferRef &h_send = w.hSend;
-    const device::BufferRef &h_fetch = w.hFetch;
-    const device::BufferRef &d_recv = w.dRecv;
-    const device::BufferRef &d_send = w.dSend;
-    const std::vector<device::BufferRef> &d_shards = w.dShards;
-    const device::BufferRef &d_hint = w.dHint;
-    SmartDsDevice::Qp &fetch_qp = w.fetchQp;
-    SmartDsDevice::Qp &reply_qp = w.replyQp;
 
     const SmartDsDevice::Qp &request_qp = requestQps_[port];
-
     while (true) {
         // --- Receive: header to host memory, payload stays in HBM ------
-        auto recv = device_->mixedRecv(request_qp, h_recv,
-                                       StorageHeader::wireSize, d_recv,
+        auto recv = device_->mixedRecv(request_qp, w.hRecv,
+                                       StorageHeader::wireSize, w.dRecv,
                                        max_block);
         co_await recv.completion;
-        const Bytes payload_size = recv.size();
         SMARTDS_CHECK(recv.message, "recv completed without a message");
-        const net::Message &req = *recv.message;
-        trace::Tracer *tracer = fabric_.tracer();
-        const trace::TraceContext tctx = req.trace;
+        net::Message &req = *recv.message;
 
         // --- Host CPU: flexibly parse the header, prepare the send -----
-        const std::uint32_t parse_depth =
-            static_cast<std::uint32_t>(cores_.queueDepth());
-        const Tick parse_start = sim_.now();
-        co_await cores_.executeAsync(calibration::smartdsHostRequestCost);
-        if (tracer && tctx)
-            tracer->record(tctx, trace::Stage::HostParse, parse_start,
-                           sim_.now(), parse_depth);
-        bool latency_sensitive = req.latencySensitive;
-        std::uint64_t tag = req.tag;
-        if (device_->config().functional && h_recv->bytes()) {
+        // The parsed tag and latency flag are what the datapath serves.
+        co_await parseOn(cores_, calibration::smartdsHostRequestCost, req);
+        if (device_->config().functional && w.hRecv->bytes()) {
             const StorageHeader hdr =
-                StorageHeader::decode(h_recv->bytes()->data());
-            latency_sensitive = hdr.latencySensitive != 0;
-            tag = hdr.tag;
+                StorageHeader::decode(w.hRecv->bytes()->data());
+            req.latencySensitive = hdr.latencySensitive != 0;
+            req.tag = hdr.tag;
             // host_fill_send_h_buf: the reply/replica header.
             StorageHeader out = hdr;
-            out.payloadSize = static_cast<std::uint32_t>(payload_size);
-            out.encodeInto(h_send->bytes()->data());
+            out.payloadSize = static_cast<std::uint32_t>(recv.size());
+            out.encodeInto(w.hSend->bytes()->data());
         }
 
+        // --- The shared datapath, its hooks on this worker's buffers ---
         if (req.kind == net::MessageKind::ReadRequest) {
-            // Hot-block cache: a hit serves the verified plaintext with
-            // one device-DRAM read (HBM placement) or one request's host
-            // cost — no fetch round trip, no RS decode, no decompression.
-            if (readCache_) {
-                if (const HotBlockCache::Entry *hit =
-                        readCache_->lookup(req.vmId, req.blockOffset)) {
-                    // Snapshot the entry: the lookup pointer dies if
-                    // another worker touches the cache while we are
-                    // suspended below.
-                    const HotBlockCache::Entry cached = *hit;
-                    const Tick hit_start = sim_.now();
-                    if (cacheFlow_) {
-                        sim::Completion cache_read(sim_);
-                        cacheFlow_->transfer(cached.plainSize,
-                                             [cache_read]() mutable {
-                                                 cache_read.complete(0);
-                                             });
-                        co_await cache_read;
-                    } else {
-                        co_await cores_.executeAsync(
-                            calibration::smartdsHostRequestCost);
-                    }
-                    if (d_recv->bytes() && cached.plain)
-                        std::copy(cached.plain->begin(), cached.plain->end(),
-                                  d_recv->bytes()->begin());
-                    d_recv->content = device::BufferContent{};
-                    d_recv->content.size = cached.plainSize;
-                    d_recv->content.compressibility = cached.compressibility;
-                    if (tracer && tctx)
-                        tracer->record(tctx, trace::Stage::CacheHit,
-                                       hit_start, sim_.now());
-                    device_->connect(reply_qp, req.src, req.srcQp);
-                    auto reply = device_->mixedSend(
-                        reply_qp, h_send, StorageHeader::wireSize, d_recv,
-                        cached.plainSize, net::MessageKind::ReadReply, tag,
-                        req.issueTick, tctx);
-                    co_await reply.completion;
-                    continue;
-                }
-                if (tracer && tctx)
-                    tracer->record(tctx, trace::Stage::CacheMiss, sim_.now(),
-                                   sim_.now());
-            }
-
-            bool served = false;
-            Bytes plain_size = 0;
-            Tick timeout = config_.failover.ackTimeout;
-            if (config_.policy == ReplicationPolicy::ErasureCode) {
-                // --- EC read: gather any k shards, decode on-card -------
-                // Each shard probe reuses the fetch QP timeout/reset idiom
-                // of the replicated read path below; the RS engine
-                // reassembles the stripe in HBM and the LZ4 engine
-                // decompresses it.
-                const ec::RsCodec &codec = ecCodec(config_);
-                const unsigned k = codec.k();
-                const unsigned n = codec.n();
-                const auto candidates = readCandidates(config_, req);
-                SMARTDS_CHECK(candidates.size() >= k,
-                              "EC read needs %u storage nodes, have %zu", k,
-                              candidates.size());
-                const std::size_t ring_start = rng_.below(candidates.size());
-                const Bytes stripe_hint =
-                    req.payload.size
-                        ? req.payload.size
-                        : static_cast<Bytes>(
-                              static_cast<double>(req.payload.originalSize) *
-                              req.payload.compressibility);
-                bool degraded = false;
-                std::vector<std::pair<unsigned, device::BufferRef>> got;
-                std::vector<bool> have_idx(n, false);
-                Bytes shard_sz = 0;
-                Bytes stripe_bytes = 0;
-                const Tick collect_start = sim_.now();
-                for (std::size_t a = 0;
-                     a < candidates.size() && got.size() < k; ++a) {
-                    const net::NodeId target =
-                        candidates[(ring_start + a) % candidates.size()];
-                    device_->resetQp(fetch_qp);
-                    device_->connect(fetch_qp, target, 0);
-                    device::BufferRef dest = d_shards[got.size()];
-                    auto fetch_reply = device_->mixedRecv(
-                        fetch_qp, h_fetch, StorageHeader::wireSize, dest,
-                        dest->capacity());
-                    d_hint->content = device::BufferContent{};
-                    d_hint->content.compressibility = 0.0;
-                    d_hint->content.originalSize = req.payload.originalSize;
-                    d_hint->content.ecK = static_cast<std::uint8_t>(k);
-                    d_hint->content.ecM = static_cast<std::uint8_t>(codec.m());
-                    d_hint->content.ecShard = static_cast<std::uint8_t>(
-                        std::min<std::size_t>(got.size(), n - 1));
-                    d_hint->content.ecStripeBytes = stripe_hint;
-                    auto fetch = device_->mixedSend(
-                        fetch_qp, h_send, StorageHeader::wireSize, d_hint, 0,
-                        net::MessageKind::ReadFetch, tag, req.issueTick,
-                        tctx);
-                    co_await fetch.completion;
-                    sim::EventHandle timer;
-                    if (timeout > 0)
-                        timer = sim_.schedule(
-                            timeout,
-                            [this, &fetch_qp]() {
-                                device_->resetQp(fetch_qp);
-                            },
-                            sim::EventTag::Nic);
-                    co_await fetch_reply.completion;
-                    timer.cancel();
-                    const net::Message *rep = fetch_reply.message.get();
-                    if (!rep ||
-                        rep->kind != net::MessageKind::ReadFetchReply ||
-                        rep->tag != tag) {
-                        noteFetchMiss(target,
-                                      rep && rep->kind ==
-                                                 net::MessageKind::
-                                                     ReadFetchReply);
-                        degraded = true;
-                        timeout = std::min(timeout * 2,
-                                           config_.failover.ackTimeoutCap);
-                        continue;
-                    }
-                    health_.noteAck(target);
-                    if (rep->payload.ecK == 0) {
-                        // Functional stub: this node holds no shard.
-                        degraded = true;
-                        continue;
-                    }
-                    // Scrub the shard with the checksum engine before use.
-                    auto scrub = device_->devFunc(
-                        dest, fetch_reply.size(), d_recv, d_recv->capacity(),
-                        port, device::EngineOp::Checksum, tctx);
-                    co_await scrub.completion;
-                    bool shard_corrupt = rep->payload.corrupted;
-                    if (dest->bytes())
-                        shard_corrupt = shard_corrupt ||
-                                        scrub.completion.value() !=
-                                            rep->payload.ecShardChecksum;
-                    if (shard_corrupt) {
-                        noteCorruptFetch();
-                        invalidateCached(req, tracer, sim_.now());
-                        degraded = true;
-                        continue;
-                    }
-                    const unsigned idx = rep->payload.ecShard;
-                    if (idx >= n || have_idx[idx])
-                        continue; // duplicate shard (repaired copy)
-                    have_idx[idx] = true;
-                    shard_sz = fetch_reply.size();
-                    if (rep->payload.ecStripeBytes)
-                        stripe_bytes = rep->payload.ecStripeBytes;
-                    got.emplace_back(idx, dest);
-                }
-                if (tracer && tctx)
-                    tracer->record(tctx, trace::Stage::DegradedRead,
-                                   collect_start, sim_.now(),
-                                   static_cast<std::uint32_t>(got.size()));
-
-                const bool have = got.size() >= k;
-                bool systematic = have;
-                for (std::size_t i = 0; i < got.size(); ++i)
-                    systematic = systematic && got[i].first < k;
-                if (have && (degraded || !systematic))
-                    ++failover_.degradedReads;
-                if (!have) {
-                    ++failover_.readsUnserved;
-                } else {
-                    if (stripe_bytes == 0)
-                        stripe_bytes = shard_sz * static_cast<Bytes>(k);
-                    auto decoded = device_->ecDecode(got, stripe_bytes,
-                                                     d_send, port, k,
-                                                     codec.m(), tctx);
-                    co_await decoded.completion;
-                    auto plain = device_->devFunc(
-                        d_send, stripe_bytes, d_recv, d_recv->capacity(),
-                        port, device::EngineOp::Decompress, tctx);
-                    co_await plain.completion;
-                    bool corrupt = d_recv->content.corrupted;
-                    if (!corrupt && device_->config().functional &&
-                        d_recv->bytes() && h_fetch->bytes()) {
-                        const StorageHeader stored =
-                            StorageHeader::decode(h_fetch->bytes()->data());
-                        corrupt = stored.blockChecksum != 0 &&
-                                  xxhash32(d_recv->bytes()->data(),
-                                           plain.size()) !=
-                                      stored.blockChecksum;
-                    }
-                    if (corrupt) {
-                        noteCorruptStripe(req, tracer, sim_.now());
-                    } else {
-                        plain_size = plain.size();
-                        served = true;
-                    }
-                }
-            } else {
-                // --- Replicated read (Fig. 3b): fetch, decompress -------
-                // A fetch that times out resets the QP (flushing the
-                // posted receive) and fails over to another replica; a
-                // fetched block whose engine decode or checksum fails does
-                // the same.
-                const auto candidates = readCandidates(config_, req);
-                const std::size_t start =
-                    candidates.empty() ? 0 : rng_.below(candidates.size());
-                for (std::size_t i = 0; i < candidates.size() && !served;
-                     ++i) {
-                    const net::NodeId target =
-                        candidates[(start + i) % candidates.size()];
-                    device_->resetQp(fetch_qp);
-                    device_->connect(fetch_qp, target, 0);
-                    auto fetch_reply = device_->mixedRecv(
-                        fetch_qp, h_fetch, StorageHeader::wireSize, d_send,
-                        d_send->capacity());
-                    auto fetch = device_->mixedSend(
-                        fetch_qp, h_send, StorageHeader::wireSize, nullptr,
-                        0, net::MessageKind::ReadFetch, tag, req.issueTick,
-                        tctx);
-                    co_await fetch.completion;
-                    sim::EventHandle timer;
-                    if (timeout > 0)
-                        timer = sim_.schedule(
-                            timeout,
-                            [this, &fetch_qp]() {
-                                device_->resetQp(fetch_qp);
-                            },
-                            sim::EventTag::Nic);
-                    co_await fetch_reply.completion;
-                    timer.cancel();
-                    const net::Message *rep = fetch_reply.message.get();
-                    if (!rep ||
-                        rep->kind != net::MessageKind::ReadFetchReply ||
-                        rep->tag != tag) {
-                        // Timed out (flush) or a stale reply from a
-                        // previous attempt: strike the node, try the next
-                        // replica.
-                        noteFetchMiss(target,
-                                      rep && rep->kind ==
-                                                 net::MessageKind::
-                                                     ReadFetchReply);
-                        timeout = std::min(timeout * 2,
-                                           config_.failover.ackTimeoutCap);
-                        continue;
-                    }
-                    health_.noteAck(target);
-
-                    auto plain = device_->devFunc(
-                        d_send, fetch_reply.size(), d_recv,
-                        d_recv->capacity(), port,
-                        device::EngineOp::Decompress, tctx);
-                    co_await plain.completion;
-                    bool corrupt = d_recv->content.corrupted;
-                    if (!corrupt && device_->config().functional &&
-                        d_recv->bytes() && h_fetch->bytes()) {
-                        const StorageHeader stored =
-                            StorageHeader::decode(h_fetch->bytes()->data());
-                        corrupt = xxhash32(d_recv->bytes()->data(),
-                                           plain.size()) !=
-                                  stored.blockChecksum;
-                    }
-                    if (corrupt) {
-                        noteCorruptFetch();
-                        invalidateCached(req, tracer, sim_.now());
-                        continue;
-                    }
-                    plain_size = plain.size();
-                    served = true;
-                }
-                if (!served)
-                    ++failover_.readsUnserved;
-            }
-
-            // Keep the verified plaintext for future hits, then reply.
-            if (served && readCache_) {
-                std::shared_ptr<const std::vector<std::uint8_t>> plain_bytes;
-                if (d_recv->bytes())
-                    plain_bytes =
-                        std::make_shared<const std::vector<std::uint8_t>>(
-                            d_recv->bytes()->begin(),
-                            d_recv->bytes()->begin() +
-                                static_cast<std::ptrdiff_t>(plain_size));
-                readCache_->insert(req.vmId, req.blockOffset,
-                                   {plain_size,
-                                    d_recv->content.compressibility,
-                                    std::move(plain_bytes)});
-            }
-            device_->connect(reply_qp, req.src, req.srcQp);
-            auto reply = device_->mixedSend(
-                reply_qp, h_send, StorageHeader::wireSize,
-                served ? d_recv : nullptr, plain_size,
-                net::MessageKind::ReadReply, tag, req.issueTick, tctx);
-            co_await reply.completion;
+            co_await serveRead(w.id, req);
             continue;
         }
-
-        // --- Write path (Listing 1) -------------------------------------
-        // Write-through coherence: drop the cached copy before serving
-        // the write, so no concurrent read can hit stale bytes.
-        invalidateCached(req, tracer, sim_.now());
-        device::BufferRef send_buf = d_recv;
-        Bytes send_size = payload_size;
-        if (!latency_sensitive) {
-            auto compressed = device_->devFunc(d_recv, payload_size, d_send,
-                                               d_send->capacity(), port,
-                                               device::EngineOp::Compress,
-                                               tctx);
-            co_await compressed.completion;
-            send_buf = d_send;
-            send_size = compressed.size();
-        }
-
-        // Erasure coding: RS-encode the (compressed) stripe on-card into
-        // the k + m shard buffers; each replica slot then sends one shard
-        // instead of the whole block.
-        const bool ec = config_.policy == ReplicationPolicy::ErasureCode;
-        Bytes shard_size = 0;
-        if (ec) {
-            auto encoded = device_->ecEncode(send_buf, send_size, d_shards,
-                                             port, config_.ec.dataShards,
-                                             config_.ec.parityShards, tctx);
-            co_await encoded.completion;
-            shard_size = encoded.size();
-            ++failover_.stripesEncoded;
-            ecLedgerOpen(tag, d_shards.size());
-        }
-
-        // Each replica task sends from this worker's buffers through the
-        // sendReplica() hook; the fan-out record carries the placement
-        // and latches.
-        WriteFanout &f = openFanout(sim_, config_, req, rng_, w.id);
-        SMARTDS_CHECK(f.nodes.size() <= w.replicaQps.size(),
-                       "placement wider than the worker's replica QPs");
-        w.sendBuf = send_buf;
-        w.issue = req.issueTick;
-        w.tctx = tctx;
-        const unsigned replicas = static_cast<unsigned>(f.nodes.size());
-        const Tick replicate_start = sim_.now();
-
-        for (unsigned r = 0; r < replicas; ++r) {
-            ReplicaTask task;
-            task.tag = tag;
-            task.vmId = req.vmId;
-            task.blockOffset = req.blockOffset;
-            task.blockBytes = ec ? shard_size : send_size;
-            task.target = f.nodes[r];
-            task.slot = r;
-            task.ec = ec;
-            task.fanout = &f;
-            sim::spawn(sim_,
-                       replicateWithFailover(sim_, rng_, config_, task));
-        }
-        co_await f.quorum->wait();
-        if (tracer && tctx)
-            tracer->record(tctx, trace::Stage::Replicate, replicate_start,
-                           sim_.now(), replicas);
-        sim::Completion all_acks = f.all->wait();
-        if (!all_acks.done())
-            ++failover_.quorumCompletions;
-        releaseFanout(f);
-
-        // --- Acknowledge the VM -----------------------------------------
-        device_->connect(reply_qp, req.src, req.srcQp);
-        auto reply = device_->mixedSend(reply_qp, h_send,
-                                        StorageHeader::wireSize, nullptr, 0,
-                                        net::MessageKind::WriteReply, tag,
-                                        req.issueTick, tctx);
-        co_await reply.completion;
-        noteCompleted(payload_size);
-
+        co_await serveWrite(w.id, req);
         // The replica QPs and send buffers are reused by the next request
         // — wait for every straggler (late ack, retry, or abandonment)
         // before looping.
-        co_await all_acks;
+        co_await *w.replicated;
     }
+}
+
+sim::Task
+SmartDsServer::parse(const net::Message &)
+{
+    co_return;
+}
+
+sim::Task
+SmartDsServer::compress(WriteJob &job)
+{
+    Worker &w = *workers_[job.owner];
+    const net::Message &req = job.req;
+    w.sendBuf = w.dRecv;
+    job.compressed = req.payload.size;
+    if (req.latencySensitive)
+        co_return;
+    auto compressed = device_->devFunc(w.dRecv, req.payload.size, w.dSend,
+                                       w.dSend->capacity(), w.port,
+                                       device::EngineOp::Compress,
+                                       req.trace);
+    co_await compressed.completion;
+    w.sendBuf = w.dSend;
+    job.compressed = compressed.size();
+}
+
+sim::Task
+SmartDsServer::ecEncode(WriteJob &job)
+{
+    // RS-encode the (compressed) stripe on-card into the k + m shard
+    // buffers; each replica slot then sends one shard.
+    Worker &w = *workers_[job.owner];
+    auto encoded = device_->ecEncode(w.sendBuf, job.compressed, w.dShards,
+                                     w.port, config_.ec.dataShards,
+                                     config_.ec.parityShards, job.req.trace);
+    co_await encoded.completion;
+    openStripe(job.req.tag, static_cast<unsigned>(w.dShards.size()));
+}
+
+void
+SmartDsServer::stageReplicas(WriteJob &job, WriteFanout &f)
+{
+    // Each replica task sends from this worker's buffers through the
+    // sendReplica() hook.
+    Worker &w = *workers_[f.owner];
+    SMARTDS_CHECK(f.nodes.size() <= w.replicaQps.size(),
+                  "placement wider than the worker's replica QPs");
+    w.issue = job.req.issueTick;
+    w.tctx = job.req.trace;
+    w.replicated = f.all->wait();
+}
+
+sim::Task
+SmartDsServer::probe(unsigned owner, const net::Message &msg, Probe &p)
+{
+    // A fetch that times out resets the QP, flushing the posted receive;
+    // a late reply from an earlier probe of this read may still land on
+    // the re-posted receive and serve it.
+    Worker &w = *workers_[owner];
+    const bool ec = config_.policy == ReplicationPolicy::ErasureCode;
+    device_->resetQp(w.fetchQp);
+    device_->connect(w.fetchQp, p.target, 0);
+    const device::BufferRef &dest = ec ? w.dShards[p.shard] : w.dSend;
+    auto reply = device_->mixedRecv(w.fetchQp, w.hFetch,
+                                    StorageHeader::wireSize, dest,
+                                    dest->capacity());
+    device::BufferRef hint;
+    if (ec) {
+        const ec::RsCodec &codec = ecCodec(config_);
+        w.dHint->content = device::BufferContent{};
+        w.dHint->content.compressibility = 0.0;
+        w.dHint->content.originalSize = msg.payload.originalSize;
+        w.dHint->content.ecK = static_cast<std::uint8_t>(codec.k());
+        w.dHint->content.ecM = static_cast<std::uint8_t>(codec.m());
+        w.dHint->content.ecShard = static_cast<std::uint8_t>(p.shard);
+        w.dHint->content.ecStripeBytes = p.stripeHint;
+        hint = w.dHint;
+    }
+    auto sent = device_->mixedSend(w.fetchQp, w.hSend,
+                                   StorageHeader::wireSize, hint, 0,
+                                   net::MessageKind::ReadFetch, msg.tag,
+                                   msg.issueTick, msg.trace);
+    co_await sent.completion;
+    sim::EventHandle timer;
+    if (p.timeout > 0)
+        timer = sim_.schedule(
+            p.timeout, [this, &w]() { device_->resetQp(w.fetchQp); },
+            sim::EventTag::Nic);
+    co_await reply.completion;
+    timer.cancel();
+    // A flush completes the receive with the message still at kind Raw.
+    const net::Message *rep = reply.message.get();
+    if (!rep || rep->kind != net::MessageKind::ReadFetchReply)
+        co_return;
+    if (rep->tag != msg.tag) {
+        p.outcome = Probe::Outcome::Stale;
+        co_return;
+    }
+    w.fetched = reply.size();
+    p.reply = std::move(*reply.message);
+    p.outcome = Probe::Outcome::Replied;
+}
+
+void
+SmartDsServer::acceptPlain(const Worker &w, Bytes plain, bool unstamped_ok,
+                           ReadResult &out) const
+{
+    if (w.dRecv->content.corrupted)
+        return;
+    if (device_->config().functional && w.dRecv->bytes() &&
+        w.hFetch->bytes()) {
+        const StorageHeader stored =
+            StorageHeader::decode(w.hFetch->bytes()->data());
+        if ((!unstamped_ok || stored.blockChecksum != 0) &&
+            xxhash32(w.dRecv->bytes()->data(), plain) != stored.blockChecksum)
+            return;
+    }
+    out.have = true;
+    out.block.plainSize = plain;
+    out.block.compressibility = w.dRecv->content.compressibility;
+    // The cache keeps its own copy: dRecv is the next request's buffer.
+    if (readCache_ && w.dRecv->bytes())
+        out.block.plain = std::make_shared<const std::vector<std::uint8_t>>(
+            w.dRecv->bytes()->begin(),
+            w.dRecv->bytes()->begin() + static_cast<std::ptrdiff_t>(plain));
+}
+
+sim::Task
+SmartDsServer::verifyReplica(unsigned owner, const net::Message &msg,
+                             Probe &, ReadResult &out)
+{
+    Worker &w = *workers_[owner];
+    auto plain = device_->devFunc(w.dSend, w.fetched, w.dRecv,
+                                  w.dRecv->capacity(), w.port,
+                                  device::EngineOp::Decompress, msg.trace);
+    co_await plain.completion;
+    acceptPlain(w, plain.size(), false, out);
+}
+
+sim::Task
+SmartDsServer::verifyShard(unsigned owner, const net::Message &msg,
+                           const Probe &p, bool &corrupt)
+{
+    // Scrub the shard with the checksum engine before use.
+    Worker &w = *workers_[owner];
+    const device::BufferRef &shard = w.dShards[p.shard];
+    auto scrub = device_->devFunc(shard, w.fetched, w.dRecv,
+                                  w.dRecv->capacity(), w.port,
+                                  device::EngineOp::Checksum, msg.trace);
+    co_await scrub.completion;
+    corrupt = p.reply.payload.corrupted ||
+              (shard->bytes() &&
+               scrub.completion.value() != p.reply.payload.ecShardChecksum);
+}
+
+sim::Task
+SmartDsServer::rebuildStripe(unsigned owner, const net::Message &msg,
+                             const Stripe &s, ReadResult &out)
+{
+    // The RS engine reassembles the stripe in HBM (shard i of the gather
+    // landed in buffer i) and the LZ4 engine decompresses it.
+    Worker &w = *workers_[owner];
+    w.stripe.clear();
+    for (std::size_t i = 0; i < s.index.size(); ++i)
+        w.stripe.emplace_back(s.index[i], w.dShards[i]);
+    auto decoded = device_->ecDecode(w.stripe, s.bytes, w.dSend, w.port,
+                                     config_.ec.dataShards,
+                                     config_.ec.parityShards, msg.trace);
+    co_await decoded.completion;
+    auto plain = device_->devFunc(w.dSend, s.bytes, w.dRecv,
+                                  w.dRecv->capacity(), w.port,
+                                  device::EngineOp::Decompress, msg.trace);
+    co_await plain.completion;
+    acceptPlain(w, plain.size(), true, out);
+}
+
+sim::Task
+SmartDsServer::decompress(const net::Message &, Bytes, Bytes)
+{
+    co_return;
+}
+
+sim::Task
+SmartDsServer::cacheHit(unsigned owner, const net::Message &,
+                        const HotBlockCache::Entry &block)
+{
+    // One device-DRAM read (HBM placement) or one request's host cost —
+    // no fetch round trip, no RS decode, no decompression.
+    Worker &w = *workers_[owner];
+    if (cacheFlow_) {
+        sim::Completion cache_read(sim_);
+        cacheFlow_->transfer(block.plainSize, [cache_read]() mutable {
+            cache_read.complete(0);
+        });
+        co_await cache_read;
+    } else {
+        co_await cores_.executeAsync(calibration::smartdsHostRequestCost);
+    }
+    if (w.dRecv->bytes() && block.plain)
+        std::copy(block.plain->begin(), block.plain->end(),
+                  w.dRecv->bytes()->begin());
+    w.dRecv->content = device::BufferContent{};
+    w.dRecv->content.size = block.plainSize;
+    w.dRecv->content.compressibility = block.compressibility;
+}
+
+sim::Task
+SmartDsServer::toClient(unsigned owner, net::Message reply)
+{
+    // A read reply's payload is the plaintext in dRecv.
+    Worker &w = *workers_[owner];
+    device::BufferRef payload = reply.payload.size ? w.dRecv : nullptr;
+    device_->connect(w.replyQp, reply.dst, reply.dstQp);
+    auto sent = device_->mixedSend(w.replyQp, w.hSend,
+                                   StorageHeader::wireSize, payload,
+                                   reply.payload.size, reply.kind, reply.tag,
+                                   reply.issueTick, reply.trace);
+    co_await sent.completion;
 }
 
 } // namespace smartds::middletier
