@@ -9,7 +9,9 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <utility>
 
+#include "common/checksum.h"
 #include "common/random.h"
 #include "corpus/corpus.h"
 #include "lz4/lz4.h"
@@ -144,6 +146,127 @@ TEST(Corpus, ProfileNamesAreUnique)
     for (Profile p : allProfiles())
         names.insert(profileName(p));
     EXPECT_EQ(names.size(), allProfiles().size());
+}
+
+// ---- Pinned bytes ----------------------------------------------------------
+//
+// Every compression ratio, result CSV and state hash downstream derives from
+// the corpus bytes and the ratio sampler's draws, so they are pinned exactly:
+// a generator rewrite must reproduce each byte and each Rng draw, including
+// the draws for bytes a generator makes past its share and then drops.
+
+/** xxHash32 of @p bytes followed by the next 64-bit draw of @p rng. */
+std::uint32_t
+digestWithNextDraw(const std::vector<std::uint8_t> &bytes, Rng &rng)
+{
+    const std::uint64_t next = rng();
+    std::vector<std::uint8_t> all(bytes);
+    const auto *p = reinterpret_cast<const std::uint8_t *>(&next);
+    all.insert(all.end(), p, p + sizeof(next));
+    return xxhash32(all);
+}
+
+TEST(Corpus, PinnedCorpusBytes)
+{
+    EXPECT_EQ(xxhash32(SyntheticCorpus(4u << 20, 42).bytes()), 0x39bd8b47u);
+    EXPECT_EQ(xxhash32(SyntheticCorpus(8u << 20, 42).bytes()), 0x9e03a54eu);
+}
+
+TEST(Corpus, PinnedGeneratorOutput)
+{
+    // Sizes that end inside a record (64-byte rows, 24-byte stars, 2-byte
+    // samples, the 32-byte XML prologue), so each generator's last record
+    // is cut; the trailing draw pins the draws made for the cut bytes.
+    struct Row
+    {
+        Profile profile;
+        std::uint64_t seed;
+        std::size_t size;
+        std::uint32_t digest;
+    };
+    const Row rows[] = {
+        {Profile::Text, 1, 17, 0x1cd8fccau},
+        {Profile::Text, 1, 100003, 0x7e59e262u},
+        {Profile::Text, 2024, 17, 0x61d60eb4u},
+        {Profile::Text, 2024, 100003, 0xe1526964u},
+        {Profile::Xml, 1, 17, 0xe81144d4u},
+        {Profile::Xml, 1, 100003, 0x680b5e5bu},
+        {Profile::Xml, 2024, 17, 0xe7d01737u},
+        {Profile::Xml, 2024, 100003, 0x2fb9cf20u},
+        {Profile::Database, 1, 17, 0xa49b3c85u},
+        {Profile::Database, 1, 100003, 0xe26b65a8u},
+        {Profile::Database, 2024, 17, 0xca4cfd69u},
+        {Profile::Database, 2024, 100003, 0x45ee0cd2u},
+        {Profile::Executable, 1, 17, 0x465255a0u},
+        {Profile::Executable, 1, 100003, 0x7bd2e63au},
+        {Profile::Executable, 2024, 17, 0x7290e4bau},
+        {Profile::Executable, 2024, 100003, 0x071410d6u},
+        {Profile::Scientific, 1, 17, 0xd5bfa4b2u},
+        {Profile::Scientific, 1, 100003, 0x3a985da3u},
+        {Profile::Scientific, 2024, 17, 0xe2c48fe0u},
+        {Profile::Scientific, 2024, 100003, 0x5de9aec9u},
+        {Profile::Imaging, 1, 17, 0x868f9013u},
+        {Profile::Imaging, 1, 100003, 0x7bd2bf6eu},
+        {Profile::Imaging, 2024, 17, 0xb412f07eu},
+        {Profile::Imaging, 2024, 100003, 0x4f36a24bu},
+    };
+    for (const Row &row : rows) {
+        Rng rng(row.seed);
+        const auto bytes = generate(row.profile, row.size, rng);
+        ASSERT_EQ(bytes.size(), row.size);
+        EXPECT_EQ(digestWithNextDraw(bytes, rng), row.digest)
+            << profileName(row.profile) << " seed " << row.seed << " size "
+            << row.size;
+    }
+}
+
+TEST(Corpus, PinnedRatioSamplerRatios)
+{
+    // sample() returns ratios_[rng.below(size())]; a twin Rng replays the
+    // indices, which recovers every recorded ratio in index order.
+    const SyntheticCorpus corpus(4u << 20, 42);
+    const RatioSampler sampler(corpus, 4096, 1, 512, 7);
+    ASSERT_EQ(sampler.size(), 512u);
+    std::vector<double> ratios(512, -1.0);
+    std::size_t seen = 0;
+    Rng draws(11), twin(11);
+    for (int i = 0; i < 100000 && seen < ratios.size(); ++i) {
+        const double r = sampler.sample(draws);
+        double &slot = ratios[twin.below(ratios.size())];
+        if (slot < 0.0)
+            ++seen;
+        slot = r;
+    }
+    ASSERT_EQ(seen, ratios.size());
+    double sum = 0.0;
+    for (double r : ratios)
+        sum += r;
+    EXPECT_EQ(sampler.mean(), sum / 512.0);
+    std::vector<std::uint8_t> bits(ratios.size() * sizeof(double));
+    std::memcpy(bits.data(), ratios.data(), bits.size());
+    EXPECT_EQ(xxhash32(bits), 0xbbd4f26cu);
+    std::uint64_t mean_bits;
+    const double mean = sampler.mean();
+    std::memcpy(&mean_bits, &mean, sizeof(mean));
+    EXPECT_EQ(mean_bits, 0x3fe1733a00000000u);
+}
+
+TEST(Corpus, PinnedLz4Output)
+{
+    // The codec over every 37th 4 KiB block of the experiments' corpus.
+    const SyntheticCorpus corpus(4u << 20, 42);
+    const std::pair<int, std::uint32_t> pins[] = {
+        {1, 0x3d870aa7u}, {3, 0xfec2a9ddu}, {9, 0x20d2e58eu}};
+    for (const auto &[effort, digest] : pins) {
+        std::vector<std::uint8_t> all;
+        for (std::size_t b = 0; b < corpus.blockCount(4096); b += 37) {
+            const std::vector<std::uint8_t> block(
+                corpus.blockPtr(4096, b), corpus.blockPtr(4096, b) + 4096);
+            const auto out = lz4::compress(block, effort);
+            all.insert(all.end(), out.begin(), out.end());
+        }
+        EXPECT_EQ(xxhash32(all), digest) << "effort " << effort;
+    }
 }
 
 } // namespace
