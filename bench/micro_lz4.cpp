@@ -6,6 +6,12 @@
  * numbers of this host; the simulator's software-compression *rate* is
  * calibrated to the paper's platform (2.1 Gbps/logical core at 2.2 GHz)
  * in common/calibration.h.
+ *
+ * The cold start every experiment process pays is measured here too, in
+ * its layers: each profile generator (1 MiB per iteration), the 4 MiB
+ * corpus the experiments sample ratios from, and the 512-block
+ * RatioSampler built over it (wall time; it compresses on several
+ * threads).
  */
 
 #include <benchmark/benchmark.h>
@@ -86,7 +92,55 @@ decompressProfile(benchmark::State &state, corpus::Profile profile)
     state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
 }
 
+void
+generateProfile(benchmark::State &state, corpus::Profile profile)
+{
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        Rng rng(2024);
+        const auto data = corpus::generate(profile, 1u << 20, rng);
+        benchmark::DoNotOptimize(data.data());
+        bytes += data.size();
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+
+void
+buildCorpus(benchmark::State &state)
+{
+    for (auto _ : state) {
+        const corpus::SyntheticCorpus corpus(4u << 20, 42);
+        benchmark::DoNotOptimize(corpus.bytes().data());
+    }
+}
+
+void
+buildRatioSampler(benchmark::State &state)
+{
+    // The experiments' sampler: 512 blocks of the 4 MiB corpus, effort 1.
+    static const corpus::SyntheticCorpus corpus(4u << 20, 42);
+    for (auto _ : state) {
+        const corpus::RatioSampler sampler(corpus, 4096, 1, 512, 7);
+        benchmark::DoNotOptimize(sampler.mean());
+    }
+}
+
 } // namespace
+
+BENCHMARK_CAPTURE(generateProfile, text, corpus::Profile::Text)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(generateProfile, xml, corpus::Profile::Xml)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(generateProfile, database, corpus::Profile::Database)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(generateProfile, executable, corpus::Profile::Executable)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(generateProfile, scientific, corpus::Profile::Scientific)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(generateProfile, imaging, corpus::Profile::Imaging)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(buildCorpus)->Unit(benchmark::kMillisecond);
+BENCHMARK(buildRatioSampler)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 BENCHMARK_CAPTURE(compressProfile, text_e1, corpus::Profile::Text, 1);
 BENCHMARK_CAPTURE(compressProfile, text_e6, corpus::Profile::Text, 6);
