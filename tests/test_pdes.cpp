@@ -9,6 +9,7 @@
  */
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -119,6 +120,51 @@ TEST(Pdes, ShardCountDoesNotChangeTheMergedOrder)
     const auto sharded = run(4);
     EXPECT_EQ(serial, (std::vector<unsigned>{1u, 2u, 3u}));
     EXPECT_EQ(serial, sharded);
+}
+
+TEST(Pdes, SparsePostsMergeByTickSourceSeq)
+{
+    // Eight domains, of which two post into a third: the drain visits only
+    // the channels that hold events, and still merges by (tick, source,
+    // seq), whatever order the sources posted in.
+    struct Delivery
+    {
+        Tick tick;
+        unsigned src;
+        int seq;
+        bool operator==(const Delivery &) const = default;
+    };
+    auto run = [](unsigned shards) {
+        constexpr Tick kLookahead = 10;
+        sim::ClusterSim cluster(8, kLookahead);
+        cluster.setShards(shards);
+        auto seen = std::make_shared<std::vector<Delivery>>();
+        auto deliver = [&cluster, seen](unsigned src, int seq) {
+            return [&cluster, seen, src, seq]() {
+                seen->push_back({cluster.domain(5).now(), src, seq});
+            };
+        };
+        // simlint: allow(cross-shard-state): test plants initial events on
+        // source domains before the cluster starts running
+        cluster.domain(6).scheduleAt(2, [&cluster, deliver]() {
+            cluster.post(6, 5, 20, deliver(6, 0));
+            cluster.post(6, 5, 20, deliver(6, 1));
+            cluster.post(6, 5, 14, deliver(6, 2));
+        });
+        // simlint: allow(cross-shard-state): test plants initial events on
+        // source domains before the cluster starts running
+        cluster.domain(3).scheduleAt(4, [&cluster, deliver]() {
+            cluster.post(3, 5, 20, deliver(3, 0));
+        });
+        cluster.runUntil(100);
+        EXPECT_EQ(cluster.crossEventsPosted(), 4u);
+        EXPECT_EQ(cluster.domainEventsExecuted(5), 4u);
+        return *seen;
+    };
+    const std::vector<Delivery> expected{
+        {14, 6, 2}, {20, 3, 0}, {20, 6, 0}, {20, 6, 1}};
+    EXPECT_EQ(run(1), expected);
+    EXPECT_EQ(run(4), expected);
 }
 
 TEST(Pdes, CrashExecutesInVictimsDomain)
