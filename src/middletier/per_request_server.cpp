@@ -306,7 +306,8 @@ PerRequestServer::fetchReplica(unsigned owner, const net::Message &msg,
     // (Fig. 3b). Crashed or slow replicas time out and the fetch fails
     // over; corrupt data is caught by the end-to-end checksum and served
     // from another replica.
-    const auto candidates = readCandidates(config_, msg);
+    ReplicaSet chunk_set;
+    const auto candidates = readCandidates(config_, msg, chunk_set);
     SMARTDS_CHECK(!candidates.empty(), "read with no storage candidates");
     const std::size_t start = rng_.below(candidates.size());
 
@@ -435,7 +436,8 @@ PerRequestServer::fetchStripe(unsigned owner, const net::Message &msg,
     // timeout backoff and health machinery.
     const ec::RsCodec &codec = ecCodec(config_);
     const unsigned k = codec.k();
-    const auto candidates = readCandidates(config_, msg);
+    // Shards are placed per request, so any node of the pool may hold one.
+    const std::vector<net::NodeId> &candidates = config_.storageNodes;
     SMARTDS_CHECK(candidates.size() >= k,
                   "EC read needs %u storage nodes, have %zu", k,
                   candidates.size());

@@ -229,19 +229,16 @@ MiddleTierServer::repairSend(const ReplicaTask &, net::NodeId)
     return nullptr;
 }
 
-std::vector<net::NodeId>
+std::span<const net::NodeId>
 MiddleTierServer::readCandidates(const ServerConfig &config,
-                                 const net::Message &msg)
+                                 const net::Message &msg, ReplicaSet &set)
 {
-    if (config.policy == ReplicationPolicy::ErasureCode)
-        return config.storageNodes; // shards are placed per request
-    if (config.chunkManager) {
-        const ChunkRef chunk =
-            config.chunkManager->locate(msg.vmId, msg.blockOffset);
-        const ReplicaSet &set = config.chunkManager->replicas(chunk, &health_);
-        return {set.begin(), set.end()};
-    }
-    return config.storageNodes;
+    if (!config.chunkManager)
+        return config.storageNodes;
+    const ChunkRef chunk =
+        config.chunkManager->locate(msg.vmId, msg.blockOffset);
+    set = config.chunkManager->replicas(chunk, &health_);
+    return {set.begin(), set.end()};
 }
 
 sim::Completion

@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -482,12 +483,16 @@ class MiddleTierServer
                     Rng &rng, WriteFanout &f);
 
     /**
-     * Replica candidates for a read of the block @p msg addresses: the
-     * chunk's replica set when a chunk manager is configured (reads must
-     * hit nodes that hold the data), the whole pool otherwise.
+     * Replica candidates for a replicated read of the block @p msg
+     * addresses: the chunk's replica set when a chunk manager is
+     * configured (reads must hit nodes that hold the data), the whole
+     * pool otherwise. The chunk's set is copied into @p set, which is
+     * inline, because a re-placement may change it while the read waits;
+     * the result views @p set or config.storageNodes.
      */
-    std::vector<net::NodeId> readCandidates(const ServerConfig &config,
-                                            const net::Message &msg);
+    std::span<const net::NodeId> readCandidates(const ServerConfig &config,
+                                                const net::Message &msg,
+                                                ReplicaSet &set);
 
     /**
      * Register interest in a WriteReplicaAck for (@p tag, @p node). The
