@@ -103,24 +103,6 @@ MultiCardSmartDsServer::addUsageProbes(UsageProbes &probes)
     addFailoverProbes(probes);
 }
 
-std::uint64_t
-MultiCardSmartDsServer::totalRequestsCompleted() const
-{
-    std::uint64_t n = 0;
-    for (const auto &card : cards_)
-        n += card->requestsCompleted();
-    return n;
-}
-
-Bytes
-MultiCardSmartDsServer::totalPayloadBytesServed() const
-{
-    Bytes n = 0;
-    for (const auto &card : cards_)
-        n += card->payloadBytesServed();
-    return n;
-}
-
 FailoverStats
 MultiCardSmartDsServer::failoverStats() const
 {

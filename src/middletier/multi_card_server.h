@@ -51,12 +51,6 @@ class MultiCardSmartDsServer : public MiddleTierServer
     SmartDsServer &card(unsigned i) { return *cards_.at(i); }
     pcie::PcieSwitch &pcieSwitch(unsigned i) { return *switches_.at(i); }
 
-    /** Sum of write requests completed across all cards. */
-    std::uint64_t totalRequestsCompleted() const;
-
-    /** Sum of served payload bytes across all cards. */
-    Bytes totalPayloadBytesServed() const;
-
     /** Failure-handling counters summed over all cards. */
     FailoverStats failoverStats() const override;
 

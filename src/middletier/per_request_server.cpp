@@ -211,7 +211,7 @@ PerRequestServer::serveWrite(unsigned owner, const net::Message &msg)
     releaseFanout(f);
 
     co_await toClient(owner, replyTo(msg, net::MessageKind::WriteReply));
-    noteCompleted(msg.payload.size);
+    noteCompleted();
 }
 
 void

@@ -79,13 +79,13 @@ TEST(ChunkManager, CompactionTriggersAtThreshold)
 {
     auto cm = makeManager(4);
     const ChunkRef chunk = cm.locate(1, 0);
-    EXPECT_FALSE(cm.recordWrite(chunk));
-    EXPECT_FALSE(cm.recordWrite(chunk));
-    EXPECT_FALSE(cm.recordWrite(chunk));
-    EXPECT_TRUE(cm.recordWrite(chunk)); // 4th write crosses the threshold
+    for (int i = 0; i < 3; ++i)
+        cm.writeReplicas(chunk);
+    EXPECT_EQ(cm.compactionsDue(), 0u);
+    cm.writeReplicas(chunk); // 4th write crosses the threshold
     EXPECT_EQ(cm.compactionsDue(), 1u);
     // Further writes do not re-queue until compacted.
-    EXPECT_FALSE(cm.recordWrite(chunk));
+    cm.writeReplicas(chunk);
     EXPECT_EQ(cm.compactionsDue(), 1u);
     EXPECT_EQ(cm.pendingWrites(chunk), 5u);
 
@@ -94,8 +94,10 @@ TEST(ChunkManager, CompactionTriggersAtThreshold)
     EXPECT_EQ(cm.pendingWrites(chunk), 0u);
     // The cycle restarts.
     for (int i = 0; i < 3; ++i)
-        EXPECT_FALSE(cm.recordWrite(chunk));
-    EXPECT_TRUE(cm.recordWrite(chunk));
+        cm.writeReplicas(chunk);
+    EXPECT_EQ(cm.compactionsDue(), 0u);
+    cm.writeReplicas(chunk);
+    EXPECT_EQ(cm.compactionsDue(), 1u);
 }
 
 TEST(ChunkManager, CompactedUnknownChunkIsHarmless)
