@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "mem/memory_system.h"
 #include "middletier/cpu_only_server.h"
 #include "middletier/maintenance.h"
+#include "middletier/placement.h"
 #include "middletier/protocol.h"
 #include "middletier/smartds_server.h"
 #include "net/fabric.h"
@@ -43,66 +45,47 @@ using namespace smartds::time_literals;
 // Failure-domain-aware placement
 // ---------------------------------------------------------------------
 
-/** Concrete server exposing the protected placement helpers. */
-struct PlacementProbe : MiddleTierServer
+/** 9 nodes (ids 1..9) in 3 domains, node i + 1 in domain i % 3. */
+Placement
+topology()
 {
-    net::NodeId
-    frontNode(unsigned) const override
-    {
-        return 0;
-    }
-    Design
-    design() const override
-    {
-        return Design::CpuOnly;
-    }
-    void addUsageProbes(UsageProbes &) override {}
-
-    using MiddleTierServer::chooseDomainSpreadReplicas;
-    using MiddleTierServer::chooseHealthyReplicas;
-    using MiddleTierServer::initFailover;
-    using MiddleTierServer::pickReplacement;
-    NodeHealthView &healthView() { return health_; }
-    const NodeHealthView &healthView() const { return health_; }
-};
-
-/** 9 nodes (ids 1..9) in 3 domains, node i in domain i % 3. */
-ServerConfig
-topologyConfig()
-{
-    ServerConfig config;
+    std::vector<net::NodeId> nodes;
+    std::vector<unsigned> racks;
     for (unsigned i = 0; i < 9; ++i) {
-        config.storageNodes.push_back(i + 1);
-        config.storageDomains.push_back(i % 3);
+        nodes.push_back(i + 1);
+        racks.push_back(i % 3);
     }
-    return config;
+    return Placement(nodes, racks);
+}
+
+unsigned
+domainOf(net::NodeId n)
+{
+    return (n - 1) % 3;
 }
 
 std::map<unsigned, unsigned>
-domainHistogram(const PlacementProbe &probe,
-                const std::vector<net::NodeId> &picked)
+domainHistogram(std::span<const net::NodeId> picked)
 {
     std::map<unsigned, unsigned> per_domain;
     for (const net::NodeId n : picked)
-        ++per_domain[probe.healthView().domainOf(n)];
+        ++per_domain[domainOf(n)];
     return per_domain;
 }
 
 TEST(DomainPlacement, NeverColocatesWhenDomainsSuffice)
 {
-    PlacementProbe probe;
-    const ServerConfig config = topologyConfig();
-    probe.initFailover(config);
+    Placement placement = topology();
+    NodeHealthView health;
     Rng rng(5);
     for (int i = 0; i < 200; ++i) {
-        const auto picked =
-            probe.chooseDomainSpreadReplicas(config.storageNodes, 3, rng);
+        const auto picked = placement.draw(rng, &health, 3);
         ASSERT_EQ(picked.size(), 3u);
         EXPECT_EQ(std::set<net::NodeId>(picked.begin(), picked.end())
                       .size(),
                   3u);
         // 3 picks over 3 domains: one per domain, never two in one.
-        for (const auto &[domain, count] : domainHistogram(probe, picked))
+        for (const auto &[domain, count] : domainHistogram(picked))
             EXPECT_EQ(count, 1u) << "domain " << domain;
     }
 }
@@ -112,29 +95,23 @@ TEST(DomainPlacement, SpreadsEvenlyWhenShardsExceedDomains)
     // RS(4, 2) = 6 shards over 3 domains: co-location is unavoidable,
     // but the spread must be exactly 2 per domain — a domain crash then
     // costs at most m shards and every stripe stays recoverable.
-    PlacementProbe probe;
-    const ServerConfig config = topologyConfig();
-    probe.initFailover(config);
+    Placement placement = topology();
+    NodeHealthView health;
     Rng rng(6);
     for (int i = 0; i < 200; ++i) {
-        const auto picked =
-            probe.chooseDomainSpreadReplicas(config.storageNodes, 6, rng);
+        const auto picked = placement.draw(rng, &health, 6);
         ASSERT_EQ(picked.size(), 6u);
-        for (const auto &[domain, count] : domainHistogram(probe, picked))
+        for (const auto &[domain, count] : domainHistogram(picked))
             EXPECT_EQ(count, 2u) << "domain " << domain;
     }
 }
 
 TEST(DomainPlacement, FallsBackWithoutTopology)
 {
-    PlacementProbe probe;
-    ServerConfig config;
-    for (unsigned i = 0; i < 6; ++i)
-        config.storageNodes.push_back(i + 1);
-    probe.initFailover(config);
+    Placement placement({1, 2, 3, 4, 5, 6}, {});
+    NodeHealthView health;
     Rng rng(7);
-    const auto picked =
-        probe.chooseDomainSpreadReplicas(config.storageNodes, 4, rng);
+    const auto picked = placement.draw(rng, &health, 4);
     ASSERT_EQ(picked.size(), 4u);
     EXPECT_EQ(std::set<net::NodeId>(picked.begin(), picked.end()).size(),
               4u);
@@ -142,49 +119,46 @@ TEST(DomainPlacement, FallsBackWithoutTopology)
 
 TEST(DomainPlacement, ReplacementPrefersUnoccupiedDomain)
 {
-    PlacementProbe probe;
-    ServerConfig config = topologyConfig();
-    probe.initFailover(config);
+    Placement placement = topology();
+    NodeHealthView health;
     Rng rng(8);
     // Node i + 1 lives in domain i % 3: the placement occupies domains
     // 2 (node 3) and 0 (node 1), and node 3 is failing. Every
     // replacement draw must come from the untouched domain 1 (nodes 2,
     // 5, 8).
-    const std::vector<net::NodeId> placement = {3, 1};
+    const std::vector<net::NodeId> placed = {3, 1};
     for (int i = 0; i < 100; ++i) {
-        const net::NodeId repl =
-            probe.pickReplacement(config, rng, placement, 3);
-        EXPECT_EQ(probe.healthView().domainOf(repl), 1u) << repl;
+        const auto repl = placement.draw(rng, &health, 1, placed);
+        ASSERT_EQ(repl.size(), 1u);
+        EXPECT_EQ(domainOf(repl[0]), 1u) << repl[0];
     }
 }
 
 // ---------------------------------------------------------------------
-// NodeHealthView recovery semantics (both placement paths)
+// NodeHealthView recovery semantics (with and without topology)
 // ---------------------------------------------------------------------
 
 TEST(NodeHealth, SuspectedNodeRegainsEligibilityOnAck)
 {
-    PlacementProbe probe;
-    ServerConfig config = topologyConfig();
-    config.failover.suspectThreshold = 2;
-    probe.initFailover(config);
-    NodeHealthView &health = probe.healthView();
-
+    NodeHealthView health(2);
     EXPECT_FALSE(health.noteTimeout(4)); // first strike: not yet
     EXPECT_TRUE(health.noteTimeout(4));  // threshold crossed
     EXPECT_FALSE(health.noteTimeout(4)); // already suspected: no re-fire
     EXPECT_TRUE(health.suspected(4));
 
-    // Suspected nodes are excluded from fresh placement on BOTH paths:
-    // replication (healthy choice) and EC (domain spread).
+    // Suspected nodes are excluded from fresh placement, whether the
+    // pool is one rack (replicas without topology) or three (a stripe
+    // spread over racks).
+    Placement one_rack({1, 2, 3, 4, 5, 6, 7, 8, 9}, {});
+    Placement spread = topology();
+    const auto holds = [](std::span<const net::NodeId> picked,
+                          net::NodeId n) {
+        return std::find(picked.begin(), picked.end(), n) != picked.end();
+    };
     Rng rng(9);
     for (int i = 0; i < 100; ++i) {
-        for (const net::NodeId n : probe.chooseHealthyReplicas(
-                 config.storageNodes, 3, rng))
-            EXPECT_NE(n, 4u);
-        for (const net::NodeId n : probe.chooseDomainSpreadReplicas(
-                 config.storageNodes, 6, rng))
-            EXPECT_NE(n, 4u);
+        EXPECT_FALSE(holds(one_rack.draw(rng, &health, 3), 4u));
+        EXPECT_FALSE(holds(spread.draw(rng, &health, 6), 4u));
     }
 
     // One successful round trip clears the strikes and the suspicion.
@@ -192,12 +166,8 @@ TEST(NodeHealth, SuspectedNodeRegainsEligibilityOnAck)
     EXPECT_FALSE(health.suspected(4));
     bool seen_rep = false, seen_ec = false;
     for (int i = 0; i < 200 && !(seen_rep && seen_ec); ++i) {
-        const auto rep =
-            probe.chooseHealthyReplicas(config.storageNodes, 3, rng);
-        seen_rep |= std::find(rep.begin(), rep.end(), 4u) != rep.end();
-        const auto ecp =
-            probe.chooseDomainSpreadReplicas(config.storageNodes, 6, rng);
-        seen_ec |= std::find(ecp.begin(), ecp.end(), 4u) != ecp.end();
+        seen_rep |= holds(one_rack.draw(rng, &health, 3), 4u);
+        seen_ec |= holds(spread.draw(rng, &health, 6), 4u);
     }
     EXPECT_TRUE(seen_rep);
     EXPECT_TRUE(seen_ec);
@@ -207,13 +177,16 @@ TEST(NodeHealth, SuspicionIgnoredWhenPoolWouldStarve)
 {
     // RS(4, 2) needs 6 targets; suspecting 4 of 6 nodes must not shrink
     // the candidate set below the fanout — better a suspect node than a
-    // failed write.
+    // failed write. A smaller draw still skips the suspects.
     NodeHealthView health(1);
-    std::vector<net::NodeId> nodes = {1, 2, 3, 4, 5, 6};
+    Placement placement({1, 2, 3, 4, 5, 6}, {});
     for (const net::NodeId n : {1u, 2u, 3u, 4u})
         health.noteTimeout(n);
-    EXPECT_EQ(health.filterHealthy(nodes, 6).size(), 6u);
-    EXPECT_EQ(health.filterHealthy(nodes, 2).size(), 2u);
+    Rng rng(10);
+    EXPECT_EQ(placement.draw(rng, &health, 6).size(), 6u);
+    for (int i = 0; i < 20; ++i)
+        for (const net::NodeId n : placement.draw(rng, &health, 2))
+            EXPECT_GE(n, 5u);
 }
 
 // ---------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include "middletier/accelerator_server.h"
 #include "middletier/bf2_server.h"
 #include "middletier/cpu_only_server.h"
+#include "middletier/placement.h"
 #include "middletier/protocol.h"
 #include "middletier/smartds_server.h"
 #include "net/fabric.h"
@@ -287,16 +288,9 @@ TEST(MiddleTier, SmartDsReadPathDecompressesOnCard)
 TEST(MiddleTier, ChooseReplicasAreDistinct)
 {
     Rng rng(1);
-    std::vector<net::NodeId> nodes = {1, 2, 3, 4, 5, 6};
+    Placement placement({1, 2, 3, 4, 5, 6}, {});
     for (int i = 0; i < 200; ++i) {
-        struct Probe : MiddleTierServer
-        {
-            net::NodeId frontNode(unsigned) const override { return 0; }
-            Design design() const override { return Design::CpuOnly; }
-            void addUsageProbes(UsageProbes &) override {}
-            using MiddleTierServer::chooseReplicas;
-        };
-        const auto picks = Probe::chooseReplicas(nodes, 3, rng);
+        const auto picks = placement.draw(rng, nullptr, 3);
         ASSERT_EQ(picks.size(), 3u);
         EXPECT_NE(picks[0], picks[1]);
         EXPECT_NE(picks[0], picks[2]);
