@@ -5,9 +5,10 @@
  * Short fault-laden runs over every design x durability policy x datapath
  * mode, plus the failover variants (DDIO off, write quorum, latency-
  * sensitive writes, two SmartDS cards, zero replica retries, a rack
- * down). Each row pins the run's event-stream hash, the served request
- * count, every FailoverStats counter, the hot-block cache counters and
- * the finished background repairs. A refactor that keeps behaviour leaves every row
+ * down) and the timing rows again over several timing domains. Each row
+ * pins the run's event-stream hash, the served request count, every
+ * FailoverStats counter, the hot-block cache counters and the finished
+ * background repairs. A refactor that keeps behaviour leaves every row
  * unchanged; one that moves a single event, Rng draw or counter update
  * fails here and prints the new row in table form.
  *
@@ -163,6 +164,20 @@ matrix()
         c.config.domainCrashOutage = 1_ms;
         c.config.replicaAckTimeout = 100_us;
         cases.push_back(c);
+    }
+    // The partitioned (PDES) kernel: the auto partition gives 4 timing
+    // domains under 3-way replication and 8 under RS(4,2) over 6 racks.
+    // Every message between clients, middle tier and storage crosses a
+    // domain, and crash churn reaches the storage nodes through the fault
+    // injector's cross-domain posts.
+    for (const Design d : designs) {
+        for (const bool ec : {false, true}) {
+            Case c{std::string(shortName(d)) + (ec ? "/rs42" : "/rep3") +
+                       "/domains",
+                   baseConfig(d, ec, false)};
+            c.config.timingDomains = 0;
+            cases.push_back(c);
+        }
     }
     return cases;
 }
@@ -352,6 +367,38 @@ const Row kPinned[] = {
     {"smartds/rep3/rack-down", 0x782bfde7, 1053,
      {71, 71, 66, 0, 0, 6, 0, 0, 0, 16, 0, 0, 0, 4877783},
      {129, 535, 528384, 524, 93, 157},
+     0},
+    {"cpu/rep3/domains", 0x629caeaf, 628,
+     {29, 29, 7, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2804451},
+     {70, 316, 286720, 306, 0, 82},
+     0},
+    {"cpu/rs42/domains", 0x06af9920, 296,
+     {38, 38, 13, 0, 0, 1, 0, 0, 0, 6, 0, 220, 6, 761644},
+     {37, 175, 151552, 164, 0, 37},
+     0},
+    {"acc/rep3/domains", 0x43ae27c7, 758,
+     {28, 28, 6, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 3489979},
+     {101, 387, 413696, 381, 0, 111},
+     0},
+    {"acc/rs42/domains", 0xb8ceb616, 288,
+     {37, 37, 14, 0, 0, 3, 0, 0, 0, 5, 0, 204, 5, 697252},
+     {34, 181, 139264, 164, 0, 31},
+     0},
+    {"bf2/rep3/domains", 0xab2ea7a7, 920,
+     {32, 32, 5, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 4363772},
+     {121, 469, 495616, 461, 52, 134},
+     0},
+    {"bf2/rs42/domains", 0x59ceae00, 321,
+     {43, 43, 15, 0, 0, 1, 0, 0, 0, 2, 0, 250, 2, 848842},
+     {35, 205, 143360, 191, 0, 41},
+     0},
+    {"smartds/rep3/domains", 0x4ff2d05d, 753,
+     {28, 28, 5, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 3560324},
+     {95, 400, 389120, 396, 20, 109},
+     0},
+    {"smartds/rs42/domains", 0xc35fe9d2, 295,
+     {35, 35, 11, 0, 0, 2, 0, 0, 0, 6, 0, 217, 6, 754177},
+     {38, 165, 155648, 152, 0, 35},
      0},
 };
 // clang-format on
