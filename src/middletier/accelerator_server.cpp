@@ -39,7 +39,7 @@ AcceleratorServer::AcceleratorServer(net::Fabric &fabric,
 
     nic_->setRxDmaOptions({rxWrite_, false});
     nic_->onHostReceive(
-        [this](net::Message msg) { dispatch(0, std::move(msg)); });
+        [this](net::Message &&msg) { dispatch(0, std::move(msg)); });
 }
 
 net::NodeId
@@ -164,7 +164,7 @@ AcceleratorServer::cacheHit(unsigned, const net::Message &,
 }
 
 void
-AcceleratorServer::toStorage(unsigned, unsigned, net::Message msg,
+AcceleratorServer::toStorage(unsigned, unsigned, net::Message &&msg,
                              bool first)
 {
     // With DDIO the FPGA's result write is still LLC-resident for the

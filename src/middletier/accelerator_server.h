@@ -62,7 +62,7 @@ class AcceleratorServer : public PerRequestServer
                        Bytes stripe) override;
     sim::Task cacheHit(unsigned owner, const net::Message &req,
                        const HotBlockCache::Entry &block) override;
-    void toStorage(unsigned port, unsigned lane, net::Message msg,
+    void toStorage(unsigned port, unsigned lane, net::Message &&msg,
                    bool first) override;
     sim::Task toClient(unsigned port, net::Message reply) override;
 

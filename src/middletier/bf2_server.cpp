@@ -23,7 +23,7 @@ Bf2Server::Bf2Server(net::Fabric &fabric, ServerConfig config, Bf2Config bf2)
     for (unsigned i = 0; i < bf2_.ports; ++i) {
         auto *port =
             fabric.createPort("bf2.p" + std::to_string(i));
-        port->onReceive([this, i](net::Message msg) {
+        port->onReceive([this, i](net::Message &&msg) {
             // Acks are consumed on arrival; everything else — requests
             // and fetched blocks — is DMA-written into device DRAM before
             // the Arm cores see it.
@@ -140,7 +140,8 @@ Bf2Server::cacheHit(unsigned, const net::Message &,
 }
 
 void
-Bf2Server::toStorage(unsigned port, unsigned lane, net::Message msg, bool)
+Bf2Server::toStorage(unsigned port, unsigned lane, net::Message &&msg,
+                     bool)
 {
     // The TX path reads what it sends from device DRAM — a replica's
     // block (each send re-reads it: the 3.5x-traffic bottleneck of

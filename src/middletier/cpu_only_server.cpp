@@ -28,7 +28,7 @@ CpuOnlyServer::CpuOnlyServer(net::Fabric &fabric, mem::MemorySystem &memory,
     // Received messages DMA into host memory (posted writes).
     nic_->setRxDmaOptions({rxWrite_, false});
     nic_->onHostReceive(
-        [this](net::Message msg) { dispatch(0, std::move(msg)); });
+        [this](net::Message &&msg) { dispatch(0, std::move(msg)); });
 }
 
 net::NodeId
@@ -155,7 +155,8 @@ CpuOnlyServer::cacheHit(unsigned, const net::Message &,
 }
 
 void
-CpuOnlyServer::toStorage(unsigned, unsigned, net::Message msg, bool first)
+CpuOnlyServer::toStorage(unsigned, unsigned, net::Message &&msg,
+                         bool first)
 {
     // The first replica read misses the LLC (the compressed block is
     // fetched once from memory); the remaining sends hit.

@@ -48,7 +48,7 @@ PerRequestServer::WriteJob::block() const
 }
 
 void
-PerRequestServer::dispatch(unsigned port, net::Message msg)
+PerRequestServer::dispatch(unsigned port, net::Message &&msg)
 {
     switch (msg.kind) {
       case net::MessageKind::WriteRequest:
@@ -255,7 +255,7 @@ PerRequestServer::repairSend(const ReplicaTask &task, net::NodeId dst)
 }
 
 void
-PerRequestServer::toStorage(unsigned, unsigned, net::Message, bool)
+PerRequestServer::toStorage(unsigned, unsigned, net::Message &&, bool)
 {
     panic("%s server has no host transport to storage",
           designName(design()));

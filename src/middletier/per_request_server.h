@@ -111,7 +111,7 @@ class PerRequestServer : public MiddleTierServer
     };
 
     /** Serve one message that arrived on front-end port @p port. */
-    void dispatch(unsigned port, net::Message msg);
+    void dispatch(unsigned port, net::Message &&msg);
 
     /** Serve write @p msg for @p owner (its front port or worker). */
     sim::Task serveWrite(unsigned owner, const net::Message &msg);
@@ -201,7 +201,7 @@ class PerRequestServer : public MiddleTierServer
      * repairSend()). @p lane is the replica slot or the probe attempt;
      * @p first marks a replica's first send.
      */
-    virtual void toStorage(unsigned port, unsigned lane, net::Message msg,
+    virtual void toStorage(unsigned port, unsigned lane, net::Message &&msg,
                            bool first);
 
     /** Replica sends go through toStorage() from the parked messages. */

@@ -202,7 +202,7 @@ MiddleTierServer::expectFetch(sim::Simulator &sim, std::uint64_t tag,
 }
 
 void
-MiddleTierServer::deliverFetch(net::Message msg)
+MiddleTierServer::deliverFetch(net::Message &&msg)
 {
     FetchEntry *pending = pendingFetches_.find(msg.tag);
     if (!pending) {

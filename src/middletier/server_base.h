@@ -481,7 +481,7 @@ class MiddleTierServer
      * Route an arriving fetch reply to its waiter (stale replies — the
      * wait already timed out and retired — are counted and dropped).
      */
-    void deliverFetch(net::Message msg);
+    void deliverFetch(net::Message &&msg);
 
     /**
      * Take the reply payload stashed by deliverFetch() for @p tag.

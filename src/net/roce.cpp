@@ -21,7 +21,7 @@ ReliableQueuePair::ReliableQueuePair(Fabric &fabric,
       rng_(config.seed)
 {
     SMARTDS_CHECK(config_.windowMessages >= 1, "window must be >= 1");
-    port_->onReceive([this](Message msg) { onReceive(std::move(msg)); });
+    port_->onReceive([this](Message &&msg) { onReceive(std::move(msg)); });
 }
 
 void
@@ -106,7 +106,7 @@ ReliableQueuePair::onTimeout()
 }
 
 void
-ReliableQueuePair::onReceive(Message msg)
+ReliableQueuePair::onReceive(Message &&msg)
 {
     if (msg.kind == MessageKind::TransportAck) {
         handleAck(msg);
@@ -116,7 +116,7 @@ ReliableQueuePair::onReceive(Message msg)
 }
 
 void
-ReliableQueuePair::handleData(Message msg)
+ReliableQueuePair::handleData(Message &&msg)
 {
     if (msg.psn == expectedPsn_) {
         ++expectedPsn_;

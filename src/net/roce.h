@@ -71,8 +71,8 @@ class ReliableQueuePair
     std::size_t inFlight() const { return window_.size(); }
 
   private:
-    void onReceive(Message msg);
-    void handleData(Message msg);
+    void onReceive(Message &&msg);
+    void handleData(Message &&msg);
     void handleAck(const Message &msg);
     void pump();
     void transmit(const Message &msg);

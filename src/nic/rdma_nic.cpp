@@ -22,7 +22,7 @@ RdmaNic::RdmaNic(net::Fabric &fabric, const std::string &name,
            {&pcie_.h2d()}, {&pcie_.d2h()}, config.dma)
 {
     rxOptions_.stallOnMemory = false; // DMA writes are posted
-    port_->onReceive([this](net::Message msg) {
+    port_->onReceive([this](net::Message &&msg) {
         // Land the whole message in host memory before software sees it.
         const Bytes bytes = msg.wireBytes();
         const std::uint32_t ticket = inDma_.park(
@@ -46,14 +46,14 @@ RdmaNic::landed(std::uint32_t ticket)
 }
 
 void
-RdmaNic::onHostReceive(std::function<void(net::Message)> handler)
+RdmaNic::onHostReceive(std::function<void(net::Message &&)> handler)
 {
     SMARTDS_CHECK(!handler_, "NIC already has a host receive handler");
     handler_ = std::move(handler);
 }
 
 void
-RdmaNic::sendFromHost(net::Message msg, sim::EventCallback on_sent)
+RdmaNic::sendFromHost(net::Message &&msg, sim::EventCallback on_sent)
 {
     const Bytes bytes = msg.wireBytes();
     const std::uint32_t ticket = inDma_.park(InDma{

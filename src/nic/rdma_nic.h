@@ -60,14 +60,14 @@ class RdmaNic
      * Install the host-side receive handler, called once a received
      * message has fully landed in host memory.
      */
-    void onHostReceive(std::function<void(net::Message)> handler);
+    void onHostReceive(std::function<void(net::Message &&)> handler);
 
     /**
      * Send @p msg from host memory: DMA-read its bytes over PCIe, then
      * serialise onto the wire. @p on_sent (optional) fires at local send
      * completion.
      */
-    void sendFromHost(net::Message msg,
+    void sendFromHost(net::Message &&msg,
                       sim::EventCallback on_sent = nullptr);
 
     net::Port &port() { return *port_; }
@@ -95,7 +95,7 @@ class RdmaNic
     pcie::DmaEngine dma_;
     pcie::DmaEngine::Options rxOptions_;
     pcie::DmaEngine::Options txOptions_;
-    std::function<void(net::Message)> handler_;
+    std::function<void(net::Message &&)> handler_;
     /**
      * Messages inside dma_. DMA completions may reorder (memory stalls
      * vary, sizes differ), so they are parked by ticket, not in a FIFO.

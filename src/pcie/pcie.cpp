@@ -110,7 +110,7 @@ DmaEngine::submit(Bytes bytes, bool is_read, Options options, Done done)
                       sim::EventTag::Device);
         return;
     }
-    (is_read ? readQueue_ : writeQueue_).push(job);
+    (is_read ? readQueue_ : writeQueue_).push(std::uint32_t{job});
     pump();
 }
 

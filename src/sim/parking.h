@@ -83,7 +83,7 @@ class Ring
     }
 
     void
-    push(T value)
+    push(T &&value)
     {
         if (size_ == capacity_)
             grow();
@@ -151,7 +151,7 @@ class SlotTable
   public:
     /** Park @p value; @return the slot to take() it back from. */
     std::uint32_t
-    park(T value)
+    park(T &&value)
     {
         std::uint32_t slot;
         if (free_.empty()) {

@@ -78,7 +78,7 @@ SmartDsDevice::SmartDsDevice(net::Fabric &fabric, const std::string &name,
         state->assembleRead = hbm_.createFlow(pname + ".assemble-r");
         state->engineRead = hbm_.createFlow(pname + ".engine-r");
         state->engineWrite = hbm_.createFlow(pname + ".engine-w");
-        state->port->onReceive([this, i](net::Message msg) {
+        state->port->onReceive([this, i](net::Message &&msg) {
             onPortReceive(i, std::move(msg));
         });
         portStates_.push_back(std::move(state));
@@ -176,7 +176,7 @@ SmartDsDevice::pendingMessages() const
 }
 
 void
-SmartDsDevice::onPortReceive(unsigned port_index, net::Message msg)
+SmartDsDevice::onPortReceive(unsigned port_index, net::Message &&msg)
 {
     QpState &q = qpState(port_index, msg.dstQp);
     if (q.recvs.empty()) {
@@ -205,7 +205,7 @@ SmartDsDevice::JoinLeg::operator()(Tick) const
 
 void
 SmartDsDevice::performSplit(unsigned port_index, RecvDescriptor desc,
-                            net::Message msg)
+                            net::Message &&msg)
 {
     const Bytes total = msg.wireBytes();
     const Bytes host_part = std::min(desc.hSize, total);

@@ -446,9 +446,9 @@ class SmartDsDevice
     /** The receive state of @p qp (checked: the port must have made it). */
     QpState &qpState(unsigned port, net::QpId qp);
 
-    void onPortReceive(unsigned port_index, net::Message msg);
+    void onPortReceive(unsigned port_index, net::Message &&msg);
     void performSplit(unsigned port_index, RecvDescriptor desc,
-                      net::Message msg);
+                      net::Message &&msg);
 
     /** Open a join of @p legs legs that completes @p done. */
     std::uint32_t openJoin(unsigned legs, sim::Completion done);

@@ -18,11 +18,12 @@ StorageServer::StorageServer(net::Fabric &fabric, const std::string &name,
       disk_(fabric.simulator(), name + ".disk", config.ingestBandwidth,
             config.appendLatency)
 {
-    port_->onReceive([this](net::Message msg) { handle(std::move(msg)); });
+    port_->onReceive(
+        [this](net::Message &&msg) { handle(std::move(msg)); });
 }
 
 void
-StorageServer::handle(net::Message msg)
+StorageServer::handle(net::Message &&msg)
 {
     switch (msg.kind) {
       case net::MessageKind::WriteReplica:
@@ -38,7 +39,7 @@ StorageServer::handle(net::Message msg)
 }
 
 void
-StorageServer::handleReplica(net::Message msg)
+StorageServer::handleReplica(net::Message &&msg)
 {
     // A crashed node drops the message on the floor: no append, no ack.
     if (faults_ && faults_->crashed()) {
@@ -77,7 +78,7 @@ StorageServer::diskDone()
 }
 
 void
-StorageServer::finishReplica(net::Message msg)
+StorageServer::finishReplica(net::Message &&msg)
 {
     // Crash while the append was in flight: the block never made it to
     // disk and the ack never leaves.
@@ -133,7 +134,7 @@ StorageServer::finishReplica(net::Message msg)
 }
 
 void
-StorageServer::handleFetch(net::Message msg)
+StorageServer::handleFetch(net::Message &&msg)
 {
     // A crashed node never replies; the middle tier's fetch timeout moves
     // the read to another replica.
@@ -206,7 +207,7 @@ StorageServer::handleFetch(net::Message msg)
 }
 
 void
-StorageServer::finishFetch(net::Message msg)
+StorageServer::finishFetch(net::Message &&msg)
 {
     // Crash while the disk read was in flight: no reply.
     if (faults_ && faults_->crashed()) {

@@ -94,11 +94,11 @@ class StorageServer
         return fabric_.parked(port_->domainIndex());
     }
 
-    void handle(net::Message msg);
-    void handleReplica(net::Message msg);
-    void finishReplica(net::Message msg);
-    void handleFetch(net::Message msg);
-    void finishFetch(net::Message msg);
+    void handle(net::Message &&msg);
+    void handleReplica(net::Message &&msg);
+    void finishReplica(net::Message &&msg);
+    void handleFetch(net::Message &&msg);
+    void finishFetch(net::Message &&msg);
 
     /** disk_ completion: the oldest request's disk work is done. */
     void diskDone();

@@ -187,7 +187,8 @@ TraceReplayer::TraceReplayer(net::Fabric &fabric, const std::string &name,
     SMARTDS_CHECK(config_.metrics && config_.tagCounter,
                    "replayer needs shared metrics and tag counter");
     SMARTDS_CHECK(config_.ratios, "replayer needs a ratio sampler");
-    port_->onReceive([this](net::Message msg) { onReply(std::move(msg)); });
+    port_->onReceive(
+        [this](net::Message &&msg) { onReply(std::move(msg)); });
     start_ = sim_.now();
     sim::spawn(sim_, replay());
 }
@@ -199,7 +200,7 @@ TraceReplayer::finished() const
 }
 
 void
-TraceReplayer::onReply(net::Message msg)
+TraceReplayer::onReply(net::Message &&msg)
 {
     const auto it = inflight_.find(msg.tag);
     SMARTDS_CHECK(it != inflight_.end(), "reply for unknown tag");

@@ -100,7 +100,7 @@ class TraceReplayer
 
   private:
     sim::Process replay();
-    void onReply(net::Message msg);
+    void onReply(net::Message &&msg);
 
     sim::Simulator &sim_;
     Config config_;

@@ -26,13 +26,14 @@ VmClient::VmClient(net::Fabric &fabric, const std::string &name,
                             config_.blockBytes &&
                         config_.blockCache->effort() == config_.effort),
                    "block cache must match the corpus block size and effort");
-    port_->onReceive([this](net::Message msg) { onReply(std::move(msg)); });
+    port_->onReceive(
+        [this](net::Message &&msg) { onReply(std::move(msg)); });
     for (unsigned i = 0; i < config_.outstanding; ++i)
         sim::spawn(sim_, issuer(i));
 }
 
 void
-VmClient::onReply(net::Message msg)
+VmClient::onReply(net::Message &&msg)
 {
     sim::Completion *pending = pending_.find(msg.tag);
     SMARTDS_CHECK(pending, "reply for unknown tag %llu",

@@ -109,7 +109,7 @@ class VmClient
 
   private:
     sim::Process issuer(unsigned index);
-    void onReply(net::Message msg);
+    void onReply(net::Message &&msg);
     double thinkScale(Tick now) const;
 
     sim::Simulator &sim_;
