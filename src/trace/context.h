@@ -49,7 +49,7 @@ const char *stageName(Stage stage);
  * Carried by every net::Message. id is the sampled request's tag (0 =
  * untraced); mark is scratch space holding the start tick of the stage
  * currently in flight across an asynchronous boundary (e.g. set by
- * Port::send, consumed by Port::arrive); depth is the span-stack depth
+ * Port::send, consumed by Port::received); depth is the span-stack depth
  * used to render nested spans.
  */
 struct TraceContext

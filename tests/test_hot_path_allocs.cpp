@@ -7,11 +7,11 @@
  * FairShareResource flow transfer, a 4 KiB DmaEngine read and write, a
  * Port::send to receive hop, a Completion awaited by a Process, a
  * CountLatch join, a spawned Process run to completion, a Task awaited
- * by a Process, and a PDES round of small cross-domain posts. The
- * hot-path callback parameters — a DMA completion, a queued CorePool
- * item, a Port send completion and a Completion callback — are checked
- * with captures too large for std::function's local buffer
- * (shared_ptrs, a 40-byte struct).
+ * by a Process, a PDES round of small cross-domain posts and a port hop
+ * between two timing domains. The hot-path callback parameters — a DMA
+ * completion, a queued CorePool item, a Port send completion and a
+ * Completion callback — are checked with captures too large for
+ * std::function's local buffer (shared_ptrs, a 40-byte struct).
  * Figure sweeps run hundreds of millions of these, so an allocation that
  * creeps back into one shows up here rather than as a slower benchmark.
  *
@@ -337,6 +337,43 @@ TEST(HotPathAllocs, MultiDomainRoundWithSmallPosts)
     round(); // warm-up: grows the channel and merge buffers
     EXPECT_EQ(allocationsDuring(round), 0u);
     EXPECT_EQ(delivered, 2 * 2 * static_cast<int>(kDomains));
+}
+
+TEST(HotPathAllocs, CrossDomainHop)
+{
+    // Port sends between two timing domains: the message waits in the
+    // source's parked table, the drain hands it to the destination's,
+    // and the posted event names only the channel and the port.
+    sim::ClusterSim cluster(2, calibration::networkOneWayDelay);
+    net::Fabric fabric(cluster);
+    net::Port *a = fabric.createPort("a");
+    net::Port *b = nullptr;
+    {
+        const sim::DomainScope scope(1);
+        b = fabric.createPort("b");
+    }
+    int received = 0;
+    b->onReceive([&received](net::Message &&msg) {
+        received += msg.payload.size == 4096;
+    });
+    Tick start = 0;
+    auto round = [&]() {
+        // simlint: allow(cross-shard-state): test plants the sends on the
+        // source domain before the cluster runs
+        cluster.domain(0).scheduleAt(start, [a, b]() {
+            for (int i = 0; i < 16; ++i) {
+                net::Message msg;
+                msg.dst = b->id();
+                msg.payload.size = 4096;
+                a->send(std::move(msg));
+            }
+        });
+        start += 100_us;
+        cluster.runUntil(start);
+    };
+    round(); // warm-up: grows the port, channel and parked-table rings
+    EXPECT_EQ(allocationsDuring(round), 0u);
+    EXPECT_EQ(received, 32);
 }
 
 TEST(HotPathAllocs, DmaCallbackCapturingSharedPointers)
