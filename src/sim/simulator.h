@@ -39,6 +39,12 @@
  * runUntil() that stops at its deadline) must leave it alone, because a
  * caller may then schedule below the tick it peeked (sim::ClusterSim does,
  * when it drains channel events into a domain).
+ *
+ * Each bucket caches its earliest tick: a link lowers it, and a cancel
+ * that removes it marks it stale, to be recomputed by a walk of the
+ * bucket the next time it is asked for. So a peek costs O(1), and so does
+ * a runUntil() that stops short of the next event, unless a cancel took
+ * that bucket's earliest event.
  */
 
 #ifndef SMARTDS_SIM_SIMULATOR_H_
@@ -625,14 +631,28 @@ class Simulator
         return static_cast<unsigned>(std::countr_zero(mask_)) + 1;
     }
 
-    /** Earliest tick in the (non-empty) bucket @p b. */
+    /** Earliest tick in the (non-empty) bucket @p b >= 1, by a walk. */
     Tick
-    earliestIn(unsigned b) const
+    walkEarliest(unsigned b) const
     {
         Tick earliest = kNoPendingEvent;
         for (std::uint32_t s = head_[b]; s != kNil; s = pool_[s].next)
             earliest = std::min(earliest, pool_[s].tick);
         return earliest;
+    }
+
+    /**
+     * Earliest tick in the (non-empty) bucket @p b >= 1: the cached one,
+     * recomputed first if a cancel left it stale.
+     */
+    Tick
+    earliestIn(unsigned b) const
+    {
+        if (staleMin_ & maskBit(b)) {
+            bucketMin_[b] = walkEarliest(b);
+            staleMin_ &= ~maskBit(b);
+        }
+        return bucketMin_[b];
     }
 
     /** Append @p slot to bucket @p b (its seq is the bucket's largest). */
@@ -647,10 +667,15 @@ class Simulator
         event.next = kNil;
         if (tail == kNil) {
             head_[b] = slot;
-            if (b != 0)
+            bucketMin_[b] = event.tick;
+            if (b != 0) {
                 mask_ |= maskBit(b);
+                staleMin_ &= ~maskBit(b);
+            }
         } else {
             pool_[tail].next = slot;
+            // A stale minimum stays a lower bound, and stays stale.
+            bucketMin_[b] = std::min(bucketMin_[b], event.tick);
         }
         tail_[b] = slot;
     }
@@ -670,6 +695,8 @@ class Simulator
             pool_[event.next].prev = event.prev;
         if (b != 0 && head_[b] == kNil)
             mask_ &= ~maskBit(b);
+        else if (b != 0 && event.tick == bucketMin_[b])
+            staleMin_ |= maskBit(b);
     }
 
     /**
@@ -691,6 +718,7 @@ class Simulator
         std::uint32_t s = head_[b];
         head_[b] = tail_[b] = kNil;
         mask_ &= ~maskBit(b);
+        staleMin_ &= ~maskBit(b);
         // In list (= seq) order, into buckets below b that are all empty,
         // so every bucket stays sorted by seq.
         while (s != kNil) {
@@ -798,8 +826,10 @@ class Simulator
     /**
      * Full O(n) validation of the radix queue: every event sits in the
      * bucket its tick belongs in (bucket 0: at the base), each bucket is
-     * in rising seq order with consistent links and mask bit, the base
-     * is not ahead of now(), and the lists hold exactly the live events.
+     * in rising seq order with consistent links and mask bit, each
+     * non-empty bucket's cached earliest tick is its earliest (or, while
+     * stale, at most that), the base is not ahead of now(), and the lists
+     * hold exactly the live events.
      */
     void
     verifyQueue() const
@@ -835,6 +865,15 @@ class Simulator
             SMARTDS_SIM_INVARIANT(tail_[b] == prev,
                                   "bucket %u's tail is not its last event",
                                   b);
+            if (b == 0 || head_[b] == kNil)
+                continue;
+            const Tick earliest = walkEarliest(b);
+            SMARTDS_SIM_INVARIANT(
+                (staleMin_ & maskBit(b)) != 0 ? bucketMin_[b] <= earliest
+                                              : bucketMin_[b] == earliest,
+                "bucket %u caches earliest tick %llu, holds %llu", b,
+                static_cast<unsigned long long>(bucketMin_[b]),
+                static_cast<unsigned long long>(earliest));
         }
         SMARTDS_SIM_INVARIANT(linked == pendingEvents(),
                               "%zu events linked, %zu pending", linked,
@@ -861,6 +900,14 @@ class Simulator
     std::array<std::uint32_t, kBuckets> tail_;
     /** Bit b-1 set iff bucket b >= 1 is non-empty. */
     std::uint64_t mask_ = 0;
+    /**
+     * Earliest tick of each non-empty bucket (see earliestIn()); bit b-1
+     * of staleMin_ set iff a cancel may have removed bucket b's, so the
+     * cached value is only a lower bound until the next walk. Both are
+     * refreshed by const peeks, hence mutable.
+     */
+    mutable std::array<Tick, kBuckets> bucketMin_{};
+    mutable std::uint64_t staleMin_ = 0;
     TagCounts tagEvents_{};
     bool hashOn_ = SMARTDS_CHECKED_BUILD != 0;
     std::uint32_t stateHash_ = kStateHashSeed;

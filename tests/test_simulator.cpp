@@ -285,7 +285,9 @@ TEST(Simulator, TagCountersCountDispatchesPerTag)
  * 2^k boundaries, events milliseconds to seconds ahead, a runUntil()
  * that stops short of the next event followed by schedules below the
  * tick peeked at (the shape of PDES channel drains), and cancels of the
- * current minimum must all dispatch exactly in model order.
+ * current minimum must all dispatch exactly in model order. The peek is
+ * checked against the model after every step, so a bucket's cached
+ * earliest tick is checked too, also right after a cancel removed it.
  */
 TEST(Simulator, DispatchOrderMatchesReferenceModel)
 {
