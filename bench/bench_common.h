@@ -201,7 +201,8 @@ sweep(std::initializer_list<T> full)
  *    results/<bench>_statehash.csv for cross-process comparison.
  *
  * On destruction appends one JSON line to results/bench_perf.jsonl with
- * the events executed (also per stage tag), PDES rounds, wall-clock,
+ * the events executed (also per stage tag), PDES rounds and the timing
+ * domains they entered, wall-clock,
  * events/sec and peak RSS of the run, stamped with the host fingerprint
  * (nproc, CPU model), so the repo's simulation-performance trajectory is
  * measurable PR-over-PR on one machine.
@@ -285,7 +286,7 @@ class Harness
             "\"shards\":%u,\"domains\":%u,"
             "\"events\":%llu,\"wall_s\":%.3f,\"events_per_sec\":%.0f,"
             "\"cross_events\":%llu,\"domain_events\":%s,"
-            "\"tag_events\":%s,\"rounds\":%llu,"
+            "\"tag_events\":%s,\"rounds\":%llu,\"domains_entered\":%llu,"
             "\"peak_rss_mb\":%.1f,\"unix_time\":%lld,"
             "\"nproc\":%u,\"cpu_model\":\"%s\"}",
             name_.c_str(), jobs_, smoke() ? "true" : "false",
@@ -294,7 +295,9 @@ class Harness
             wall > 0.0 ? static_cast<double>(events) / wall : 0.0,
             static_cast<unsigned long long>(crossEvents_),
             domain_events.c_str(), tag_events.c_str(),
-            static_cast<unsigned long long>(rounds_), rss_mb, unixTime(),
+            static_cast<unsigned long long>(rounds_),
+            static_cast<unsigned long long>(domainsEntered_), rss_mb,
+            unixTime(),
             host.nproc, host.cpuModel.c_str());
 
         // One write() on an O_APPEND fd: several bench binaries running
@@ -332,6 +335,7 @@ class Harness
         events_ += result.eventsExecuted;
         crossEvents_ += result.crossChannelEvents;
         rounds_ += result.pdesRounds;
+        domainsEntered_ += result.pdesDomainsEntered;
         for (std::size_t t = 0; t < sim::kEventTagCount; ++t)
             tagEvents_[t] += result.tagEvents[t];
         maxDomains_ = std::max(maxDomains_, result.timingDomains);
@@ -500,6 +504,7 @@ class Harness
     mutable std::uint64_t events_ = 0;
     mutable std::uint64_t crossEvents_ = 0;
     mutable std::uint64_t rounds_ = 0;
+    mutable std::uint64_t domainsEntered_ = 0;
     mutable sim::TagCounts tagEvents_{};
     mutable unsigned maxDomains_ = 1;
     mutable std::vector<std::uint64_t> domainEvents_;

@@ -7,7 +7,9 @@
  * storage pool from 100 to 2000 nodes and, at every size, runs the same
  * experiment on 1/2/4/8 executor shards over the auto-derived
  * timing-domain partition (middle tier, clients, storage spread by
- * rack). Two questions, two columns:
+ * rack). Two questions, two columns, plus the round telemetry that
+ * explains the first (rounds, events per round, and domains entered per
+ * round, since a round enters only the domains with work):
  *
  *  - does sharding pay? events/sec per point, plus the speedup of each
  *    shard count against the serial run of the same topology — on a
@@ -50,6 +52,8 @@ struct Point
     std::uint64_t requests;
     std::uint64_t events;
     std::uint64_t crossEvents;
+    std::uint64_t rounds;
+    std::uint64_t domainsEntered;
     std::uint32_t stateHash;
     double wallSeconds;
 };
@@ -90,6 +94,8 @@ runPoint(const Harness &harness, unsigned nodes, unsigned shards)
     p.requests = r.requestsCompleted;
     p.events = r.eventsExecuted;
     p.crossEvents = r.crossChannelEvents;
+    p.rounds = r.pdesRounds;
+    p.domainsEntered = r.pdesDomainsEntered;
     p.stateHash = r.stateHash;
     p.wallSeconds = watch.seconds();
     harness.noteResult(r);
@@ -119,7 +125,8 @@ main(int argc, char **argv)
 
     Table table("Cluster scale: events/sec and shard speedup");
     table.header({"nodes", "domains", "shards", "events", "cross",
-                  "wall(s)", "Mev/s", "speedup", "hash"});
+                  "rounds", "ev/round", "entered/round", "wall(s)",
+                  "Mev/s", "speedup", "hash"});
 
     char buf[32];
     for (const unsigned nodes : node_counts) {
@@ -146,12 +153,20 @@ main(int argc, char **argv)
                     : 0.0;
             const double speedup =
                 p.wallSeconds > 0.0 ? serial_wall / p.wallSeconds : 0.0;
+            const double rounds = static_cast<double>(p.rounds);
+            const double per_round =
+                rounds > 0.0 ? static_cast<double>(p.events) / rounds : 0.0;
+            const double entered =
+                rounds > 0.0 ? static_cast<double>(p.domainsEntered) / rounds
+                             : 0.0;
             std::snprintf(buf, sizeof(buf), "%08x", p.stateHash);
             table.row({std::to_string(p.nodes),
                        std::to_string(p.domains),
                        std::to_string(p.shards),
                        std::to_string(p.events),
-                       std::to_string(p.crossEvents), fmt(p.wallSeconds, 2),
+                       std::to_string(p.crossEvents),
+                       std::to_string(p.rounds), fmt(per_round, 1),
+                       fmt(entered, 2), fmt(p.wallSeconds, 2),
                        fmt(evps / 1e6, 2), fmt(speedup, 2), buf});
         }
         table.separator();

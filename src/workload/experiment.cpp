@@ -538,6 +538,7 @@ runWriteExperiment(const ExperimentConfig &config)
     result.crossChannelEvents = cluster.crossEventsPosted();
     result.tagEvents = cluster.tagEventsExecuted();
     result.pdesRounds = cluster.roundsExecuted();
+    result.pdesDomainsEntered = cluster.domainsEntered();
 
     // Stop the clients so the event queue can drain promptly.
     for (auto &c : clients)

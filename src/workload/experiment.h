@@ -398,6 +398,12 @@ struct ExperimentResult
 
     /** PDES synchronization rounds (0 for a single-domain run). */
     std::uint64_t pdesRounds = 0;
+
+    /**
+     * Timing domains those rounds entered, summed over the rounds: a
+     * round enters only the domains with an event due by its horizon.
+     */
+    std::uint64_t pdesDomainsEntered = 0;
 };
 
 /** Run one write-serving experiment. */
