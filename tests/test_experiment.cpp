@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "workload/experiment.h"
 
 namespace smartds::workload {
@@ -127,6 +131,61 @@ TEST(Experiment, ResultFieldsConsistent)
     EXPECT_LE(r.p50LatencyUs, r.p99LatencyUs);
     EXPECT_LE(r.p99LatencyUs, r.p999LatencyUs);
     EXPECT_GT(r.avgLatencyUs, 0.0);
+}
+
+TEST(Experiment, UsageProbeKeysPinnedPerDesign)
+{
+    // Each design reports its own byte counters plus the protocol's
+    // failover, EC, cache and replica counters. perfbench reads three of
+    // the latter: failover.read_failovers, failover.retries and
+    // replica.bytes_sent.
+    const std::vector<std::string> protocol = {
+        "cache.evictions",        "cache.hit_bytes",
+        "cache.hits",             "cache.invalidations",
+        "cache.misses",           "ec.degraded_reads",
+        "ec.stripes_encoded",     "failover.abandoned",
+        "failover.corruptions",   "failover.quorum_completions",
+        "failover.read_failovers", "failover.replacements",
+        "failover.retries",       "failover.suspected",
+        "failover.timeouts",      "replica.bytes_sent",
+    };
+    struct Point
+    {
+        const char *name;
+        middletier::Design design;
+        unsigned cores;
+        unsigned cards;
+        std::vector<std::string> own;
+    };
+    const std::vector<Point> points = {
+        {"CPU-only", middletier::Design::CpuOnly, 8, 1,
+         {"mem.read", "mem.write", "pcie.nic.d2h", "pcie.nic.h2d"}},
+        {"Acc", middletier::Design::Accelerator, 2, 1,
+         {"mem.read", "mem.write", "pcie.fpga.d2h", "pcie.fpga.h2d",
+          "pcie.nic.d2h", "pcie.nic.h2d"}},
+        {"BF2", middletier::Design::Bf2, 8, 1,
+         {"dev.mem.read", "dev.mem.write", "mem.read", "mem.write"}},
+        {"SmartDS", middletier::Design::SmartDs, 2, 1,
+         {"mem.read", "mem.write", "pcie.smartds.d2h",
+          "pcie.smartds.h2d"}},
+        {"SmartDS x2", middletier::Design::SmartDs, 2, 2,
+         {"mem.read", "mem.write", "pcie.smartds.d2h", "pcie.smartds.h2d",
+          "pcie.switch0.root"}},
+    };
+    for (const Point &p : points) {
+        ExperimentConfig config = quick(p.design, p.cores);
+        config.cards = p.cards;
+        config.warmup = 1 * ticksPerMillisecond;
+        config.window = 1 * ticksPerMillisecond;
+        const auto r = runWriteExperiment(config);
+        std::set<std::string> want(p.own.begin(), p.own.end());
+        want.insert(protocol.begin(), protocol.end());
+        std::set<std::string> keys;
+        for (const auto &[key, gbps] : r.usageGbps)
+            keys.insert(key);
+        EXPECT_EQ(keys, want) << p.name;
+        EXPECT_GT(r.usageGbps.at("replica.bytes_sent"), 0.0) << p.name;
+    }
 }
 
 TEST(Experiment, RejectsMoreFailureDomainsThanStorageNodes)
