@@ -35,6 +35,24 @@ std::atomic<std::uint64_t> newCalls{0};
 // bench-only telemetry accumulated for one noteEvents() call at exit
 std::atomic<std::uint64_t> simEvents{0};
 
+// The counting allocator's heap, kept out of line: inlined, GCC pairs a
+// counting operator new's malloc() with a replaced operator delete's
+// free() and reports a mismatch (-Wmismatched-new-delete).
+[[gnu::noinline]] void *
+countedMalloc(std::size_t size)
+{
+    newCalls.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+heapFree(void *p) noexcept
+{
+    std::free(p);
+}
+
 } // namespace
 
 // Counting global allocator: the header-encode benchmarks report an
@@ -44,26 +62,20 @@ std::atomic<std::uint64_t> simEvents{0};
 void *
 operator new(std::size_t size)
 {
-    newCalls.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
+    return countedMalloc(size);
 }
 
 void *
 // simlint: allow(naked-new): counting-allocator definition, not an allocation
 operator new[](std::size_t size)
 {
-    newCalls.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
+    return countedMalloc(size);
 }
 
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p) noexcept { heapFree(p); }
+void operator delete(void *p, std::size_t) noexcept { heapFree(p); }
+void operator delete[](void *p) noexcept { heapFree(p); }
+void operator delete[](void *p, std::size_t) noexcept { heapFree(p); }
 
 namespace {
 

@@ -42,8 +42,9 @@ expectSame(Map &flat, const Reference &reference, std::uint64_t key_space)
         const auto it = reference.find(k);
         const auto *v = flat.find(k);
         ASSERT_EQ(v != nullptr, it != reference.end()) << "key " << k;
-        if (v)
+        if (v) {
             ASSERT_EQ(v->words.at(0), it->second) << "key " << k;
+        }
     }
 }
 

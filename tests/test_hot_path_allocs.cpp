@@ -48,31 +48,43 @@ namespace {
 // thread a counter through; atomic, test-only telemetry
 std::atomic<std::uint64_t> newCalls{0};
 
-} // namespace
-
-void *
-operator new(std::size_t size)
+// The counting allocator's heap, kept out of line: inlined, GCC pairs a
+// counting operator new's malloc() with a replaced operator delete's
+// free() and reports a mismatch (-Wmismatched-new-delete).
+[[gnu::noinline]] void *
+countedMalloc(std::size_t size)
 {
     newCalls.fetch_add(1, std::memory_order_relaxed);
     if (void *p = std::malloc(size))
         return p;
     throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+heapFree(void *p) noexcept
+{
+    std::free(p);
+}
+
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    return countedMalloc(size);
 }
 
 void *
 // simlint: allow(naked-new): counting-allocator definition, not an allocation
 operator new[](std::size_t size)
 {
-    newCalls.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
+    return countedMalloc(size);
 }
 
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p) noexcept { heapFree(p); }
+void operator delete(void *p, std::size_t) noexcept { heapFree(p); }
+void operator delete[](void *p) noexcept { heapFree(p); }
+void operator delete[](void *p, std::size_t) noexcept { heapFree(p); }
 
 namespace smartds {
 namespace {

@@ -154,9 +154,10 @@ TEST(Placement, PropertiesOverRandomTopologiesAndHealth)
                           .size(),
                       n);
             const std::vector<net::NodeId> pool = s.pool(n);
-            if (s.nodes.size() - s.suspects.size() >= n)
+            if (s.nodes.size() - s.suspects.size() >= n) {
                 for (const net::NodeId p : picks)
                     EXPECT_FALSE(s.suspects.count(p)) << p;
+            }
             std::map<unsigned, std::size_t> per_rack;
             for (const net::NodeId p : picks)
                 ++per_rack[s.rackOf(p)];
@@ -192,8 +193,9 @@ TEST(Placement, PropertiesOverRandomTopologiesAndHealth)
         } else {
             EXPECT_TRUE(spare.empty());
         }
-        if (plain)
+        if (plain) {
             EXPECT_EQ(rng(), twin()) << "draw count differs";
+        }
     }
 }
 
