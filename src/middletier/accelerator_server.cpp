@@ -70,7 +70,6 @@ AcceleratorServer::addUsageProbes(UsageProbes &probes)
     probes.add("pcie.fpga.d2h", [this]() {
         return static_cast<double>(fpgaPcie_->d2h().totalBytes());
     });
-    addFailoverProbes(probes);
 }
 
 sim::Task
@@ -114,7 +113,7 @@ AcceleratorServer::ecEncode(WriteJob &w)
     // shards out.
     const Tick start = sim_.now();
     co_await toCard(w.compressed, {fpgaRead_, false}, w.compressed);
-    w.shards = encodeShards(config_, w.req.tag, w.block());
+    w.shards = encodeShards(w.req.tag, w.block());
     co_await fromCard(w.shards.front().size * w.shards.size());
     traceSpan(w.req, trace::Stage::EcEncode, start);
 }

@@ -76,7 +76,6 @@ Bf2Server::addUsageProbes(UsageProbes &probes)
     probes.add("dev.mem.write", [this]() {
         return rxWrite_->deliveredBytes() + engineWrite_->deliveredBytes();
     });
-    addFailoverProbes(probes);
 }
 
 sim::Task
@@ -105,7 +104,7 @@ Bf2Server::ecEncode(WriteJob &w)
     const Tick start = sim_.now();
     co_await sim::transferAsync(sim_, *engineRead_, w.compressed);
     co_await sim::transferAsync(sim_, *engine_, w.compressed);
-    w.shards = encodeShards(config_, w.req.tag, w.block());
+    w.shards = encodeShards(w.req.tag, w.block());
     co_await sim::transferAsync(sim_, *engineWrite_,
                                 w.shards.front().size * w.shards.size());
     traceSpan(w.req, trace::Stage::EcEncode, start);

@@ -53,7 +53,6 @@ CpuOnlyServer::addUsageProbes(UsageProbes &probes)
     probes.add("pcie.nic.d2h", [this]() {
         return static_cast<double>(nic_->pcieLink().d2h().totalBytes());
     });
-    addFailoverProbes(probes);
 }
 
 sim::Task
@@ -111,7 +110,7 @@ CpuOnlyServer::ecEncode(WriteJob &w)
     // al.).
     const Tick start = sim_.now();
     co_await cores_.acquire();
-    w.shards = encodeShards(config_, w.req.tag, w.block());
+    w.shards = encodeShards(w.req.tag, w.block());
     co_await stream(calibration::hostPerRequestSoftwareCost +
                         transferTicks(w.compressed,
                                       calibration::hostEcEncodeRate),

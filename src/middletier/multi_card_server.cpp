@@ -100,7 +100,6 @@ MultiCardSmartDsServer::addUsageProbes(UsageProbes &probes)
                            sw->root().d2h().totalBytes());
                    });
     }
-    addFailoverProbes(probes);
 }
 
 FailoverStats
@@ -124,7 +123,6 @@ MultiCardSmartDsServer::readCacheStats() const
 void
 MultiCardSmartDsServer::setMaintenanceService(MaintenanceService *m)
 {
-    MiddleTierServer::setMaintenanceService(m);
     for (auto &card : cards_)
         card->setMaintenanceService(m);
 }

@@ -32,12 +32,6 @@ class NodeHealthView
     {
     }
 
-    void
-    setSuspectThreshold(unsigned threshold)
-    {
-        threshold_ = threshold ? threshold : 1;
-    }
-
     /**
      * Record an ack timeout against @p node.
      * @return whether this strike transitioned the node to suspected.

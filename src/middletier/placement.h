@@ -6,7 +6,7 @@
  *
  * One draw makes every placement decision of the middle tier: a chunk's
  * sticky replica set (ChunkManager), a write's RS stripe or per-request
- * replica set (MiddleTierServer::placeWrite), and the node a failing
+ * replica set (PerRequestServer::placeWrite), and the node a failing
  * replica moves to (replicateWithFailover). It is a partial Fisher-Yates
  * over the healthy pool in storage order that sets aside a drawn node
  * whose rack already holds its share, ceil(n / racks) of the placement's
@@ -38,8 +38,6 @@ namespace smartds::middletier {
 class Placement
 {
   public:
-    Placement() = default;
-
     /**
      * @p nodes in storage order; @p racks holds the failure domain (rack
      * / ToR) of each, parallel by index. Empty @p racks means no

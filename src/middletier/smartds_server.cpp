@@ -25,7 +25,7 @@ SmartDsServer::SmartDsServer(net::Fabric &fabric, mem::MemorySystem &memory,
         smartds_.device.ecEngine = true;
     device_ = std::make_unique<SmartDsDevice>(fabric, "smartds", &memory,
                                               smartds_.device);
-    if (readCache_ &&
+    if (config_.readCache.capacityBytes > 0 &&
         config_.readCache.placement == ReadCachePlacement::DeviceHbm) {
         // The cache's capacity comes out of the HBM budget (alloc is
         // fatal on exhaustion, so an oversized cache fails loudly), and
@@ -75,7 +75,6 @@ SmartDsServer::addUsageProbes(UsageProbes &probes)
     probes.add("pcie.smartds.d2h", [this]() {
         return static_cast<double>(device_->pcieLink().d2h().totalBytes());
     });
-    addFailoverProbes(probes);
 }
 
 sim::Process
@@ -109,7 +108,8 @@ SmartDsServer::forwardAck(const device::MessageRef &ack)
 void
 SmartDsServer::sendReplica(const ReplicaTask &task, net::NodeId dst, bool)
 {
-    Worker &w = *workers_[task.fanout->owner];
+    const WriteFanout &f = *task.fanout;
+    Worker &w = *workers_[f.owner];
     SmartDsDevice::Qp &qp = w.replicaQps[task.slot];
     // Re-targeting tears down the previous attempt first (QP reset), so
     // a late ack from the old peer cannot match the fresh descriptor;
@@ -122,9 +122,9 @@ SmartDsServer::sendReplica(const ReplicaTask &task, net::NodeId dst, bool)
     ack.completion.onComplete(
         [this, msg = ack.message](std::uint64_t) { forwardAck(msg); });
     device_->mixedSend(qp, w.hSend, StorageHeader::wireSize,
-                       task.ec ? w.dShards[task.slot] : w.sendBuf,
-                       task.blockBytes, net::MessageKind::WriteReplica,
-                       task.tag, w.issue, w.tctx);
+                       f.ec ? w.dShards[task.slot] : w.sendBuf,
+                       f.blockBytes, net::MessageKind::WriteReplica, f.tag,
+                       w.issue, w.tctx);
 }
 
 sim::EventCallback
@@ -133,10 +133,10 @@ SmartDsServer::repairSend(const ReplicaTask &task, net::NodeId dst)
     // Snapshot header and payload now — the worker reuses its buffers
     // for the next request once the all-replicas latch releases, but
     // the repair runs much later.
-    const Worker &w = *workers_[task.fanout->owner];
-    const device::BufferRef &out_buf =
-        task.ec ? w.dShards[task.slot] : w.sendBuf;
-    const Bytes out_size = task.blockBytes;
+    const WriteFanout &f = *task.fanout;
+    const Worker &w = *workers_[f.owner];
+    const device::BufferRef &out_buf = f.ec ? w.dShards[task.slot] : w.sendBuf;
+    const Bytes out_size = f.blockBytes;
     auto h_copy = device_->hostAlloc(StorageHeader::wireSize);
     auto d_copy = device_->devAlloc(out_size ? out_size : 1);
     if (h_copy->bytes() && w.hSend->bytes())
@@ -148,7 +148,7 @@ SmartDsServer::repairSend(const ReplicaTask &task, net::NodeId dst)
                       static_cast<std::ptrdiff_t>(out_size),
                   d_copy->bytes()->begin());
     d_copy->content = out_buf->content;
-    return [this, port = w.port, h_copy, d_copy, out_size, tag = task.tag,
+    return [this, port = w.port, h_copy, d_copy, out_size, tag = f.tag,
             issue = w.issue, dst]() {
         sim::spawn(sim_, repairReplica(port, dst, h_copy, d_copy, out_size,
                                        tag, issue));
@@ -291,12 +291,13 @@ SmartDsServer::probe(unsigned owner, const net::Message &msg, Probe &p)
                                     dest->capacity());
     device::BufferRef hint;
     if (ec) {
-        const ec::RsCodec &codec = ecCodec(config_);
         w.dHint->content = device::BufferContent{};
         w.dHint->content.compressibility = 0.0;
         w.dHint->content.originalSize = msg.payload.originalSize;
-        w.dHint->content.ecK = static_cast<std::uint8_t>(codec.k());
-        w.dHint->content.ecM = static_cast<std::uint8_t>(codec.m());
+        w.dHint->content.ecK =
+            static_cast<std::uint8_t>(config_.ec.dataShards);
+        w.dHint->content.ecM =
+            static_cast<std::uint8_t>(config_.ec.parityShards);
         w.dHint->content.ecShard = static_cast<std::uint8_t>(p.shard);
         w.dHint->content.ecStripeBytes = p.stripeHint;
         hint = w.dHint;
@@ -344,7 +345,7 @@ SmartDsServer::acceptPlain(const Worker &w, Bytes plain, bool unstamped_ok,
     out.block.plainSize = plain;
     out.block.compressibility = w.dRecv->content.compressibility;
     // The cache keeps its own copy: dRecv is the next request's buffer.
-    if (readCache_ && w.dRecv->bytes())
+    if (config_.readCache.capacityBytes > 0 && w.dRecv->bytes())
         out.block.plain = std::make_shared<const std::vector<std::uint8_t>>(
             w.dRecv->bytes()->begin(),
             w.dRecv->bytes()->begin() + static_cast<std::ptrdiff_t>(plain));

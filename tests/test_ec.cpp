@@ -20,7 +20,7 @@
 #include "ec/reed_solomon.h"
 #include "lz4/lz4.h"
 #include "mem/memory_system.h"
-#include "middletier/server_base.h"
+#include "middletier/per_request_server.h"
 #include "net/fabric.h"
 #include "sim/simulator.h"
 #include "smartds/device.h"
@@ -217,33 +217,9 @@ TEST(RsCodec, DecodeNeedsKDistinctShards)
 // Shard payload encoding (middle-tier write path)
 // ---------------------------------------------------------------------
 
-/** Concrete server exposing the protected EC helpers. */
-struct EcProbe : middletier::MiddleTierServer
-{
-    net::NodeId
-    frontNode(unsigned) const override
-    {
-        return 0;
-    }
-    middletier::Design
-    design() const override
-    {
-        return middletier::Design::CpuOnly;
-    }
-    void addUsageProbes(middletier::UsageProbes &) override {}
-
-    using MiddleTierServer::ecCodec;
-    using MiddleTierServer::encodeShards;
-    middletier::FailoverStats &stats() { return failover_; }
-};
-
 TEST(EncodeShards, FunctionalShardsCarryChecksumsAndDecode)
 {
-    EcProbe probe;
-    middletier::ServerConfig config;
-    config.policy = middletier::ReplicationPolicy::ErasureCode;
-    config.ec.dataShards = 4;
-    config.ec.parityShards = 2;
+    const RsCodec codec(4, 2);
 
     const auto block = randomStripe(3000, 21);
     net::Payload payload;
@@ -253,9 +229,8 @@ TEST(EncodeShards, FunctionalShardsCarryChecksumsAndDecode)
     payload.originalSize = 4096;
     payload.compressed = true;
 
-    const auto shards = probe.encodeShards(config, /*tag=*/1, payload);
+    const auto shards = middletier::encodeShards(codec, payload);
     ASSERT_EQ(shards.size(), 6u);
-    EXPECT_EQ(probe.stats().stripesEncoded, 1u);
 
     std::vector<std::pair<unsigned, const std::vector<std::uint8_t> *>>
         pairs;
@@ -271,24 +246,19 @@ TEST(EncodeShards, FunctionalShardsCarryChecksumsAndDecode)
         if (s != 1 && s != 4) // drop one data + one parity shard
             pairs.emplace_back(s, shards[s].data.get());
     }
-    const auto back =
-        probe.ecCodec(config).decode(pairs, block.size());
+    const auto back = codec.decode(pairs, block.size());
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, block);
 }
 
 TEST(EncodeShards, TimingShardsCarryGeometryWithoutData)
 {
-    EcProbe probe;
-    middletier::ServerConfig config;
-    config.policy = middletier::ReplicationPolicy::ErasureCode;
-    config.ec.dataShards = 8;
-    config.ec.parityShards = 3;
+    const RsCodec codec(8, 3);
 
     net::Payload payload;
     payload.size = 2000;
     payload.originalSize = 4096;
-    const auto shards = probe.encodeShards(config, /*tag=*/2, payload);
+    const auto shards = middletier::encodeShards(codec, payload);
     ASSERT_EQ(shards.size(), 11u);
     for (unsigned s = 0; s < 11; ++s) {
         EXPECT_FALSE(shards[s].data);
