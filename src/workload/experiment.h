@@ -193,13 +193,6 @@ struct ExperimentConfig
     Bytes maintenanceBurstBytes = 8u << 20;
     Tick maintenanceMeanInterval = 2 * ticksPerMillisecond;
 
-    /**
-     * Use the Section 2.1 chunk manager for placement (sticky per-chunk
-     * replicas + compaction bookkeeping) rather than per-request uniform
-     * placement.
-     */
-    bool useChunkManager = true;
-
     /** Writes per chunk before compaction is due (Section 2.2.3). */
     unsigned compactionThreshold = 1024;
 

@@ -120,29 +120,5 @@ TEST(ChunkManager, ExperimentTracksChunksAndCompactions)
     EXPECT_GT(r.compactionsDue, 0u);
 }
 
-TEST(ChunkManager, PlacementStickinessVisibleEndToEnd)
-{
-    // With the chunk manager on, repeated writes to one chunk land on
-    // exactly 3 storage servers; with it off, uniform placement spreads
-    // over the whole pool. Verified through the experiment's storage
-    // spread via a single-client, single-chunk-ish workload.
-    auto run = [](bool use_cm) {
-        workload::ExperimentConfig config;
-        config.design = Design::CpuOnly;
-        config.cores = 4;
-        config.clients = 1;
-        config.outstandingPerClient = 2;
-        config.useChunkManager = use_cm;
-        config.warmup = 1 * ticksPerMillisecond;
-        config.window = 4 * ticksPerMillisecond;
-        return workload::runWriteExperiment(config);
-    };
-    const auto with_cm = run(true);
-    const auto without = run(false);
-    EXPECT_GT(with_cm.requestsCompleted, 100u);
-    EXPECT_GT(without.requestsCompleted, 100u);
-    EXPECT_EQ(without.chunksTracked, 0u);
-}
-
 } // namespace
 } // namespace smartds::middletier
