@@ -124,8 +124,6 @@ main(int argc, char **argv)
                   "\"speedup\":%.2f,\"unix_time\":%lld}",
                   harness.jobs(), smoke() ? "true" : "false", wall_on,
                   wall_off, speedup, unixTime());
-    if (!appendLineAtomic("results/bench_perf.jsonl", line))
-        warn("could not append to results/bench_perf.jsonl");
-    std::printf("[bench_perf] %s\n", line);
+    appendBenchPerf(line);
     return 0;
 }
