@@ -72,23 +72,6 @@ FaultInjector::scheduleRecovery(net::NodeId node, Tick at)
 }
 
 void
-FaultInjector::scheduleDegrade(net::NodeId node, Tick at,
-                               double latency_factor, double bandwidth_factor)
-{
-    FaultProfile *p = profile(node);
-    simFor(node).scheduleAt(at, [p, latency_factor, bandwidth_factor]() {
-        p->degrade(latency_factor, bandwidth_factor);
-    });
-}
-
-void
-FaultInjector::scheduleRestore(net::NodeId node, Tick at)
-{
-    FaultProfile *p = profile(node);
-    simFor(node).scheduleAt(at, [p]() { p->restore(); });
-}
-
-void
 FaultInjector::startCrashChurn(std::vector<net::NodeId> nodes,
                                Tick mean_interval, Tick outage)
 {

@@ -182,9 +182,6 @@ class FaultInjector
 
     void scheduleCrash(net::NodeId node, Tick at);
     void scheduleRecovery(net::NodeId node, Tick at);
-    void scheduleDegrade(net::NodeId node, Tick at, double latency_factor,
-                         double bandwidth_factor);
-    void scheduleRestore(net::NodeId node, Tick at);
 
     /**
      * Random crash/recover churn: every ~@p mean_interval (exponential),

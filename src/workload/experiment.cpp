@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/logging.h"
-#include "common/table.h"
 #include "corpus/block_cache.h"
 #include "corpus/corpus.h"
 #include "faults/fault_injector.h"
@@ -278,9 +277,6 @@ runWriteExperiment(const ExperimentConfig &config)
             auto *profile = injector->profile(storage_nodes[i]);
             profile->setAckDropProbability(config.ackDropProbability);
             profile->setCorruptProbability(config.corruptProbability);
-            if (i < config.slowNodes)
-                profile->degrade(config.slowLatencyFactor,
-                                 config.slowBandwidthFactor);
             storage_pool[i]->attachFaults(profile);
         }
         if (config.crashMeanInterval > 0)
@@ -387,10 +383,12 @@ runWriteExperiment(const ExperimentConfig &config)
     std::unique_ptr<host::CorePool> maintenance_pool;
     std::unique_ptr<middletier::MaintenanceService> maintenance;
     if (config.maintenance != ExperimentConfig::Maintenance::Off) {
+        // LSM compaction bursts: 8 cores, 8 MiB every ~2 ms (the
+        // figures ext_maintenance's banner prints).
         middletier::MaintenanceService::Config mc;
-        mc.cores = config.maintenanceCores;
-        mc.burstBytes = config.maintenanceBurstBytes;
-        mc.meanInterval = config.maintenanceMeanInterval;
+        mc.cores = 8;
+        mc.burstBytes = 8u << 20;
+        mc.meanInterval = 2 * ticksPerMillisecond;
         mc.seed = config.seed + 17;
         // Shared cores: maintenance contends with the serving path.
         host::CorePool *pool =
@@ -399,7 +397,7 @@ runWriteExperiment(const ExperimentConfig &config)
                 : nullptr;
         if (!pool) {
             maintenance_pool = std::make_unique<host::CorePool>(
-                sim, "maintenance.cores", config.maintenanceCores);
+                sim, "maintenance.cores", mc.cores);
             pool = maintenance_pool.get();
         }
         maintenance = std::make_unique<middletier::MaintenanceService>(
@@ -458,16 +456,6 @@ runWriteExperiment(const ExperimentConfig &config)
         cc.readFraction = config.readFraction;
         cc.virtualDiskBytes = config.virtualDiskBytes;
         cc.zipfTheta = config.zipfTheta;
-        if (!config.workloadClasses.empty()) {
-            const auto &cls = config.workloadClasses
-                                  [i % config.workloadClasses.size()];
-            cc.readFraction = cls.readFraction;
-            cc.latencySensitiveFraction = cls.latencySensitiveFraction;
-            if (cls.zipfTheta >= 0.0)
-                cc.zipfTheta = cls.zipfTheta;
-        }
-        for (const auto &ph : config.loadPhases)
-            cc.phases.push_back({ph.duration, ph.thinkScale});
         cc.seed = config.seed * 7919 + i;
         cc.tagCounter = &tag_counter;
         cc.metrics = &metrics;
@@ -559,16 +547,6 @@ runWriteExperiment(const ExperimentConfig &config)
         if (config.traceEvents)
             result.spans = tracer->takeSpans();
         result.metrics = registries.front()->rows();
-        if (config.tracePrint && !result.stages.empty()) {
-            Table table("Per-stage latency breakdown (sampled 1/" +
-                        std::to_string(config.traceSample) + ")");
-            table.header({"stage", "count", "avg_us", "p50_us", "p99_us",
-                          "p999_us"});
-            for (const auto &s : result.stages)
-                table.row({s.stage, fmt(s.count), fmt(s.avgUs),
-                           fmt(s.p50Us), fmt(s.p99Us), fmt(s.p999Us)});
-            table.print();
-        }
         // Detach before teardown: clients/server die after the tracer.
         fabric.setTracer(nullptr);
         fabric.setMetrics(nullptr);
