@@ -95,34 +95,6 @@ class Rng
         return -mean * std::log(u);
     }
 
-    /**
-     * DEPRECATED power-law transform, kept only for the legacy
-     * `addressSkew` knob whose draw order existing CSV byte-identity
-     * gates (fig07_determinism) pin down. The `u^(s+1)` transform is NOT
-     * a Zipf distribution — its mass concentrates near index 0 far more
-     * sharply than rank^-s — so new skew knobs must use ZipfSampler /
-     * Rng::zipf() instead. New call sites trip the simlint `zipf-approx`
-     * rule.
-     */
-    std::uint64_t
-    zipfApprox(std::uint64_t n, double s)
-    {
-        if (n == 0)
-            return 0; // empty range: the old code underflowed to n - 1
-        const double u = uniform();
-        const double v = std::pow(u, s + 1.0);
-        auto idx = static_cast<std::uint64_t>(v * static_cast<double>(n));
-        return idx >= n ? n - 1 : idx;
-    }
-
-    /**
-     * Zipf(n, theta) rank draw: index i in [0, n) with probability
-     * proportional to (i + 1)^-theta. One-shot convenience over
-     * ZipfSampler — prefer holding a ZipfSampler when drawing many
-     * values with the same (n, theta).
-     */
-    std::uint64_t zipf(std::uint64_t n, double theta);
-
     /** Derive an independent child generator (for per-flow streams). */
     Rng
     fork()
@@ -159,9 +131,10 @@ class Rng
  * uniforms — no O(n) tables, which matters for multi-million-block
  * virtual disks.
  *
- * theta == 0 degenerates to the uniform distribution and n == 0 always
- * returns 0 (callers with an empty range get a safe index, unlike the
- * deprecated zipfApprox underflow).
+ * theta == 0 degenerates to the uniform distribution (one
+ * Rng::below() draw) and n < 2 always returns 0 without drawing. A
+ * sampler is a pure function of (n, theta), so one instance can serve
+ * every draw with that pair.
  */
 class ZipfSampler
 {
@@ -181,7 +154,7 @@ class ZipfSampler
 
     /** Draw one index in [0, n). */
     std::uint64_t
-    sample(Rng &rng)
+    sample(Rng &rng) const
     {
         if (n_ < 2)
             return 0;
@@ -266,13 +239,6 @@ class ZipfSampler
     double hIntegralN_ = 0.0;
     double s_ = 0.0;
 };
-
-inline std::uint64_t
-Rng::zipf(std::uint64_t n, double theta)
-{
-    ZipfSampler sampler(n, theta);
-    return sampler.sample(*this);
-}
 
 } // namespace smartds
 

@@ -166,10 +166,7 @@ synthesizeTrace(const TraceSynthesis &config)
         TraceRecord rec;
         rec.at = fromSeconds(now_s);
         rec.vmId = 1 + rng.below(config.vms);
-        rec.offsetBytes =
-            // simlint: allow(zipf-approx): synthetic trace replay must
-            // reproduce the legacy address stream byte-for-byte
-            rng.zipfApprox(blocks, config.addressSkew) * config.blockBytes;
+        rec.offsetBytes = rng.below(blocks) * config.blockBytes;
         rec.sizeBytes = config.blockBytes;
         rec.isRead = rng.chance(config.readFraction);
         rec.latencySensitive = rng.chance(config.latencySensitiveFraction);

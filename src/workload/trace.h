@@ -67,11 +67,10 @@ struct TraceSynthesis
     double burstFraction = 0.2;
     double readFraction = 0.0;
     double latencySensitiveFraction = 0.0;
-    double addressSkew = 0.8;
     std::uint64_t seed = 7;
 };
 
-/** Generate a bursty, skewed trace. */
+/** Generate a bursty trace over uniformly drawn block offsets. */
 std::vector<TraceRecord> synthesizeTrace(const TraceSynthesis &config);
 
 /** Replays a trace open loop against one middle-tier front end. */

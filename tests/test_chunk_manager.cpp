@@ -115,6 +115,9 @@ TEST(ChunkManager, ExperimentTracksChunksAndCompactions)
     config.warmup = 2 * ticksPerMillisecond;
     config.window = 6 * ticksPerMillisecond;
     config.compactionThreshold = 8; // low threshold: compactions happen
+    // A hot set: uniform writes over a 64 GiB disk spread so thin that
+    // no chunk reaches 8 writes in the window, so nothing would be due.
+    config.zipfTheta = 0.99;
     const auto r = workload::runWriteExperiment(config);
     EXPECT_GT(r.chunksTracked, 10u);
     EXPECT_GT(r.compactionsDue, 0u);

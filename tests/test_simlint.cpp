@@ -150,17 +150,6 @@ TEST(SimlintFixtures, BlockCopy)
               }));
 }
 
-TEST(SimlintFixtures, ZipfApprox)
-{
-    // Line 8 is the declaration, line 15 the legacy draw; the exact
-    // Rng::zipf() spelling and the justified suppression stay silent.
-    EXPECT_EQ(lintFixture("zipf_approx.cpp"),
-              (std::vector<Triple>{
-                  {"zipf_approx.cpp", 8, "zipf-approx"},
-                  {"zipf_approx.cpp", 15, "zipf-approx"},
-              }));
-}
-
 TEST(SimlintFixtures, CrossShardState)
 {
     // Line 25 schedules onto a fetched domain via `.`, line 31 via a

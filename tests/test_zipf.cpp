@@ -4,8 +4,7 @@
  * mass must match the analytic pmf index by index, draws must be
  * deterministic per seed, rank 0 must be the hottest block, higher theta
  * must concentrate more mass on the head, and the trivial/edge cases
- * (n == 0, n == 1, theta == 0, the deprecated zipfApprox guard) must not
- * trap or bias.
+ * (n == 0, n == 1, theta == 0) must not trap or bias.
  */
 
 #include <gtest/gtest.h>
@@ -103,12 +102,13 @@ TEST(Zipf, HigherThetaConcentratesTheHead)
 
 TEST(Zipf, DeterministicPerSeed)
 {
+    const ZipfSampler sampler(1u << 20, 0.99);
     Rng a(123), b(123), c(124);
     bool any_different = false;
     for (int i = 0; i < 1000; ++i) {
-        const std::uint64_t x = a.zipf(1u << 20, 0.99);
-        EXPECT_EQ(x, b.zipf(1u << 20, 0.99));
-        any_different = any_different || x != c.zipf(1u << 20, 0.99);
+        const std::uint64_t x = sampler.sample(a);
+        EXPECT_EQ(x, sampler.sample(b));
+        any_different = any_different || x != sampler.sample(c);
     }
     EXPECT_TRUE(any_different); // different seed, different stream
 }
@@ -124,23 +124,27 @@ TEST(Zipf, ThetaZeroIsUniform)
             << "index " << i;
 }
 
-TEST(Zipf, TrivialDomainsDrawZero)
+TEST(Zipf, ThetaZeroIsOneBelowDraw)
 {
-    Rng rng(1);
-    EXPECT_EQ(rng.zipf(0, 0.99), 0u);
-    EXPECT_EQ(rng.zipf(1, 0.99), 0u);
-    ZipfSampler none(0, 1.2), one(1, 1.2);
-    EXPECT_EQ(none.sample(rng), 0u);
-    EXPECT_EQ(one.sample(rng), 0u);
+    // A uniform sampler spends exactly the one raw draw Rng::below()
+    // does, so the draws a caller makes after it stay where they were.
+    constexpr std::uint64_t n = 1u << 24;
+    const ZipfSampler sampler(n, 0.0);
+    Rng rng(5), twin(5);
+    for (int i = 0; i < 100; ++i)
+        EXPECT_EQ(sampler.sample(rng), twin.below(n));
 }
 
-TEST(Zipf, DeprecatedApproxGuardsEmptyDomain)
+TEST(Zipf, TrivialDomainsDrawZero)
 {
-    // The legacy approximation used to divide by zero on an empty
-    // domain; the guard must return 0 without drawing.
-    Rng rng(1);
-    // simlint: allow(zipf-approx): exercising the deprecated guard
-    EXPECT_EQ(rng.zipfApprox(0, 0.99), 0u);
+    // n < 2 returns 0 at any theta without consuming a draw.
+    Rng rng(1), twin(1);
+    for (const double theta : {0.0, 0.99, 1.2}) {
+        const ZipfSampler none(0, theta), one(1, theta);
+        EXPECT_EQ(none.sample(rng), 0u);
+        EXPECT_EQ(one.sample(rng), 0u);
+    }
+    EXPECT_EQ(rng(), twin());
 }
 
 } // namespace

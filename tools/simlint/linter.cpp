@@ -803,31 +803,6 @@ ruleBlockCopy(const FileUnit &ctx, const Sink &sink)
     }
 }
 
-// --- zipf-approx ------------------------------------------------------------
-
-/**
- * Rng::zipfApprox() is a biased two-branch approximation kept only so
- * legacy address streams (and the CSV baselines derived from them) stay
- * byte-identical. New code drawing skewed indices must use Rng::zipf(),
- * the exact bounded rejection-inversion sampler.
- */
-void
-ruleZipfApprox(const FileUnit &ctx, const Sink &sink)
-{
-    const auto &t = ctx.tokens;
-    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-        if (!t[i].ident() || !t[i].is("zipfApprox"))
-            continue;
-        if (!t[i + 1].is("("))
-            continue;
-        sink.add(t[i].line, "zipf-approx",
-                 "'zipfApprox()' is a biased legacy approximation kept "
-                 "only for byte-identical replay of old address "
-                 "streams; draw skewed indices with Rng::zipf(), the "
-                 "exact rejection-inversion sampler");
-    }
-}
-
 // --- cross-shard-state ------------------------------------------------------
 
 /**
@@ -881,8 +856,8 @@ allRules()
         "mutable-global",   "shared-sim-state",  "ptr-keyed-container",
         "event-handle-misuse", "span-imbalance",
         "raw-io",           "naked-new",         "tick-float",
-        "missing-nodiscard", "block-copy",       "zipf-approx",
-        "cross-shard-state", "bad-suppression",
+        "missing-nodiscard", "block-copy",       "cross-shard-state",
+        "bad-suppression",
     };
     return rules;
 }
@@ -1049,7 +1024,6 @@ lint(const std::vector<Source> &sources, const Config &config)
         ruleTickFloat(unit, sink);
         ruleMissingNodiscard(unit, sink);
         ruleBlockCopy(unit, sink);
-        ruleZipfApprox(unit, sink);
         ruleCrossShardState(unit, sink);
     }
     ruleMutableGlobal(index, byFile);
