@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/logging.h"
+#include "common/random.h"
 
 namespace smartds::middletier {
 
@@ -24,7 +25,15 @@ MultiCardSmartDsServer::MultiCardSmartDsServer(net::Fabric &fabric,
             fabric.simulator(), "pcie-switch" + std::to_string(s)));
     }
 
+    // Every card draws from its own RNG stream: card 0 keeps the
+    // configured seed and each later card takes the next draw of a
+    // generator seeded with it. Cards seeded alike would start their k-th
+    // reads' probes at the same replica and put their k-th EC stripes on
+    // the same nodes.
+    Rng card_seeds(config.seed);
     for (unsigned c = 0; c < multi.cards; ++c) {
+        if (c > 0)
+            config.seed = card_seeds();
         auto card_config = multi.card;
         auto &pcie_switch = *switches_[c / multi.cardsPerSwitch];
         // Each card's header DMA additionally crosses its switch's

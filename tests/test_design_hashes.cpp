@@ -328,13 +328,13 @@ const Row kPinned[] = {
      {30, 30, 7, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 5590981},
      {105, 434, 430080, 427, 36, 118},
      0},
-    {"smartds/rep3/2cards", 0x15779887, 769,
-     {24, 24, 3, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 3636107},
-     {100, 407, 409600, 400, 0, 116},
+    {"smartds/rep3/2cards", 0xa0675c8e, 776,
+     {24, 24, 2, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3633234},
+     {105, 407, 430080, 400, 0, 118},
      0},
-    {"smartds/rs42/2cards", 0x3c1c455a, 276,
-     {37, 37, 12, 0, 0, 3, 0, 0, 0, 5, 0, 200, 4, 671767},
-     {28, 169, 114688, 149, 0, 27},
+    {"smartds/rs42/2cards", 0xb16f2a5e, 273,
+     {31, 31, 7, 0, 0, 4, 0, 0, 0, 8, 0, 205, 7, 683636},
+     {27, 167, 110592, 151, 0, 26},
      0},
     {"cpu/rep3/no-retry", 0x7baca049, 591,
      {29, 0, 0, 29, 27, 2, 0, 29, 0, 2, 0, 0, 0, 2641875},
