@@ -12,6 +12,7 @@
 
 #include "mem/memory_system.h"
 #include "middletier/cpu_only_server.h"
+#include "middletier/protocol.h"
 #include "net/fabric.h"
 #include "storage/storage_server.h"
 #include "workload/experiment.h"
@@ -92,6 +93,85 @@ TEST(VmClient, TagsAreUniqueAcrossClients)
     b->stop();
     sim.run();
     EXPECT_EQ(tags - 1, metrics.issued);
+}
+
+/**
+ * The block offsets a client with @p zipf_theta and @p seed issues in its
+ * first @p requests requests, in issue order. A stub middle tier records
+ * each request's offset and replies at once.
+ */
+std::vector<std::uint64_t>
+issuedOffsets(double zipf_theta, std::uint64_t seed, std::size_t requests)
+{
+    sim::Simulator sim;
+    net::Fabric fabric(sim);
+    net::Port *tier = fabric.createPort("tier");
+    std::vector<std::uint64_t> offsets;
+    tier->onReceive([&](net::Message &&request) {
+        offsets.push_back(request.blockOffset);
+        net::Message reply;
+        reply.dst = request.src;
+        reply.kind = net::MessageKind::WriteReply;
+        reply.headerBytes = middletier::StorageHeader::wireSize;
+        reply.tag = request.tag;
+        tier->send(std::move(reply));
+    });
+
+    corpus::SyntheticCorpus corpus(1u << 20, 2);
+    corpus::RatioSampler ratios(corpus, 4096, 1, 64, 3);
+    ClientMetrics metrics;
+    std::uint64_t tags = 1;
+    VmClient::Config cc;
+    cc.target = tier->id();
+    cc.ratios = &ratios;
+    cc.zipfTheta = zipf_theta;
+    cc.seed = seed;
+    cc.tagCounter = &tags;
+    cc.metrics = &metrics;
+    VmClient client(fabric, "vm", cc);
+    while (offsets.size() < requests)
+        sim.runUntil(sim.now() + 100_us);
+    client.stop();
+    sim.run();
+    offsets.resize(requests);
+    return offsets;
+}
+
+TEST(VmClient, AddressStreamSpreadsSkewsAndRepeats)
+{
+    // 16,000 draws over 16 equal bands of the default 64 GiB disk: a
+    // uniform band holds 1,000 +- 31 (one sigma), so 150 is ~5 sigma.
+    constexpr std::size_t draws = 16000;
+    constexpr unsigned bands = 16;
+    const Bytes band_bytes = gibibytes(64) / bands;
+    const auto band_counts = [&](const std::vector<std::uint64_t> &offs) {
+        std::vector<std::size_t> counts(bands, 0);
+        for (const std::uint64_t off : offs) {
+            EXPECT_EQ(off % calibration::storageBlockBytes, 0u);
+            EXPECT_LT(off, gibibytes(64));
+            ++counts[off / band_bytes];
+        }
+        return counts;
+    };
+
+    const std::vector<std::uint64_t> uniform = issuedOffsets(0.0, 7, draws);
+    for (const std::size_t n : band_counts(uniform))
+        EXPECT_NEAR(static_cast<double>(n), draws / bands, 150.0);
+
+    // Zipf(0.99) puts most of its mass on the lowest ranks.
+    const std::vector<std::size_t> skewed =
+        band_counts(issuedOffsets(0.99, 7, draws));
+    EXPECT_GT(skewed[0], draws / 2);
+
+    // The default is uniform, and a seed fixes the stream.
+    VmClient::Config defaults;
+    EXPECT_EQ(defaults.zipfTheta, 0.0);
+    EXPECT_EQ(issuedOffsets(0.0, 7, 1000),
+              std::vector<std::uint64_t>(uniform.begin(),
+                                         uniform.begin() + 1000));
+    EXPECT_NE(issuedOffsets(0.0, 8, 1000),
+              std::vector<std::uint64_t>(uniform.begin(),
+                                         uniform.begin() + 1000));
 }
 
 // -----------------------------------------------------------------------
