@@ -10,11 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
 #include <memory>
 #include <tuple>
 #include <vector>
 
 #include "common/checksum.h"
+#include "common/random.h"
 #include "corpus/block_cache.h"
 #include "corpus/corpus.h"
 #include "faults/fault_injector.h"
@@ -128,6 +131,170 @@ TEST(HotBlockCache, StatsAggregateAcrossCards)
     EXPECT_EQ(a.insertions, 4u);
     EXPECT_EQ(a.evictions, 2u);
     EXPECT_EQ(a.invalidations, 1u);
+}
+
+/**
+ * The cache's contract restated as the plainest possible LRU: a
+ * std::list with the most recently used entry at the front, searched
+ * linearly. Every rule lives here once, in the order the cache applies
+ * it: a size of zero or above the capacity is skipped, a re-insert drops
+ * the old copy first, eviction takes the tail until the new entry fits,
+ * and a hit moves the entry to the front.
+ */
+class ReferenceLru
+{
+  public:
+    struct Node
+    {
+        std::uint64_t vmId;
+        std::uint64_t blockOffset;
+        HotBlockCache::Entry entry;
+    };
+
+    explicit ReferenceLru(Bytes capacity) : capacity_(capacity) {}
+
+    const HotBlockCache::Entry *
+    lookup(std::uint64_t vm_id, std::uint64_t block_offset)
+    {
+        const auto it = find(vm_id, block_offset);
+        if (it == lru_.end()) {
+            ++stats_.misses;
+            return nullptr;
+        }
+        lru_.splice(lru_.begin(), lru_, it);
+        ++stats_.hits;
+        stats_.hitBytes += it->entry.plainSize;
+        return &it->entry;
+    }
+
+    void
+    insert(std::uint64_t vm_id, std::uint64_t block_offset,
+           HotBlockCache::Entry entry)
+    {
+        if (entry.plainSize == 0 || entry.plainSize > capacity_)
+            return;
+        if (const auto it = find(vm_id, block_offset); it != lru_.end()) {
+            used_ -= it->entry.plainSize;
+            lru_.erase(it);
+        }
+        while (used_ + entry.plainSize > capacity_) {
+            used_ -= lru_.back().entry.plainSize;
+            lru_.pop_back();
+            ++stats_.evictions;
+        }
+        used_ += entry.plainSize;
+        lru_.push_front(Node{vm_id, block_offset, std::move(entry)});
+        ++stats_.insertions;
+    }
+
+    bool
+    invalidate(std::uint64_t vm_id, std::uint64_t block_offset)
+    {
+        const auto it = find(vm_id, block_offset);
+        if (it == lru_.end())
+            return false;
+        used_ -= it->entry.plainSize;
+        lru_.erase(it);
+        ++stats_.invalidations;
+        return true;
+    }
+
+    Bytes used() const { return used_; }
+    std::size_t entries() const { return lru_.size(); }
+    const HotBlockCache::Stats &stats() const { return stats_; }
+
+  private:
+    std::list<Node>::iterator
+    find(std::uint64_t vm_id, std::uint64_t block_offset)
+    {
+        return std::find_if(lru_.begin(), lru_.end(), [&](const Node &n) {
+            return n.vmId == vm_id && n.blockOffset == block_offset;
+        });
+    }
+
+    Bytes capacity_;
+    Bytes used_ = 0;
+    std::list<Node> lru_;
+    HotBlockCache::Stats stats_;
+};
+
+/**
+ * A seeded random stream of lookups, inserts and invalidates over a few
+ * dozen keys (so re-inserts of cached keys are common), with sizes of
+ * zero, up to the capacity and above it, against ReferenceLru. After
+ * every operation the returned entry (by its unique compressibility and
+ * its plaintext pointer), used(), entries() and all six Stats counters
+ * must match.
+ */
+TEST(HotBlockCache, MatchesAReferenceLruOverRandomStreams)
+{
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        Rng rng(seed);
+        const Bytes capacity =
+            seed == 1 ? 0 : rng.below(12) * blockBytes + rng.below(blockBytes);
+        HotBlockCache cache(capacity);
+        ReferenceLru model(capacity);
+        double next_mark = 1.0;
+        std::uint64_t mismatches = 0;
+        auto same_entry = [](const HotBlockCache::Entry *a,
+                             const HotBlockCache::Entry *b) {
+            if (a == nullptr || b == nullptr)
+                return a == b;
+            return a->plainSize == b->plainSize &&
+                   a->compressibility == b->compressibility &&
+                   a->plain == b->plain;
+        };
+        for (int op = 0; op < 4000; ++op) {
+            const std::uint64_t vm = rng.below(3);
+            const std::uint64_t offset = rng.below(16) * blockBytes;
+            const unsigned kind = static_cast<unsigned>(rng.below(20));
+            if (kind < 9) {
+                mismatches += !same_entry(cache.lookup(vm, offset),
+                                          model.lookup(vm, offset));
+            } else if (kind < 16) {
+                Bytes size = 0;
+                switch (rng.below(6)) {
+                  case 0:
+                    break;
+                  case 1:
+                    size = capacity + 1 + rng.below(blockBytes);
+                    break;
+                  case 2:
+                    size = capacity;
+                    break;
+                  default:
+                    size = 1 + rng.below(2 * blockBytes);
+                    break;
+                }
+                HotBlockCache::Entry entry{size, next_mark, nullptr};
+                next_mark += 1.0;
+                if (rng.below(4) == 0)
+                    entry.plain =
+                        std::make_shared<const std::vector<std::uint8_t>>(
+                            1, static_cast<std::uint8_t>(op));
+                cache.insert(vm, offset, entry);
+                model.insert(vm, offset, std::move(entry));
+            } else {
+                mismatches += cache.invalidate(vm, offset) !=
+                              model.invalidate(vm, offset);
+            }
+            const HotBlockCache::Stats &a = cache.stats();
+            const HotBlockCache::Stats &b = model.stats();
+            mismatches += cache.used() != model.used() ||
+                          cache.entries() != model.entries() ||
+                          a.hits != b.hits || a.misses != b.misses ||
+                          a.hitBytes != b.hitBytes ||
+                          a.insertions != b.insertions ||
+                          a.evictions != b.evictions ||
+                          a.invalidations != b.invalidations;
+        }
+        EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+        EXPECT_GT(cache.stats().hits + cache.stats().misses, 0u);
+        if (capacity >= blockBytes) {
+            EXPECT_GT(cache.stats().evictions, 0u) << "seed " << seed;
+            EXPECT_GT(cache.stats().invalidations, 0u) << "seed " << seed;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
