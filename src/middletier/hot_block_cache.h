@@ -12,21 +12,23 @@
  * and reconstruction event touching the block, so a cache hit always
  * serves bytes byte-identical to a cache-off run.
  *
- * Determinism: plain LRU over a std::list + unordered_map keyed by
- * (vmId, blockOffset). Lookup/insert/evict order depends only on the
- * request stream, never on hash iteration order.
+ * Determinism: plain LRU over a slot array whose entries are linked in
+ * recency order through their slot indices, with a sim::FlatMap from
+ * (vmId, blockOffset) to the slot as the index. The index is only ever
+ * searched, never walked, and eviction follows the links, so lookup,
+ * insert and evict order depend only on the request stream, never on the
+ * hash. Freed slots are reused, so a warm cache allocates nothing.
  */
 
 #ifndef SMARTDS_MIDDLETIER_HOT_BLOCK_CACHE_H_
 #define SMARTDS_MIDDLETIER_HOT_BLOCK_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/units.h"
+#include "sim/flat_map.h"
 
 namespace smartds::middletier {
 
@@ -101,15 +103,17 @@ class HotBlockCache
     const Entry *
     lookup(std::uint64_t vm_id, std::uint64_t block_offset)
     {
-        const auto it = index_.find(Key{vm_id, block_offset});
-        if (it == index_.end()) {
+        const std::uint32_t *slot = index_.find(Key{vm_id, block_offset});
+        if (slot == nullptr) {
             ++stats_.misses;
             return nullptr;
         }
-        lru_.splice(lru_.begin(), lru_, it->second);
+        Node &node = nodes_[*slot];
+        unlink(*slot);
+        pushFront(*slot);
         ++stats_.hits;
-        stats_.hitBytes += it->second->entry.plainSize;
-        return &it->second->entry;
+        stats_.hitBytes += node.entry.plainSize;
+        return &node.entry;
     }
 
     /**
@@ -122,21 +126,25 @@ class HotBlockCache
         if (entry.plainSize == 0 || entry.plainSize > capacity_)
             return;
         const Key key{vm_id, block_offset};
-        if (const auto it = index_.find(key); it != index_.end()) {
-            used_ -= it->second->entry.plainSize;
-            lru_.erase(it->second);
-            index_.erase(it);
-        }
-        while (used_ + entry.plainSize > capacity_ && !lru_.empty()) {
-            const Node &victim = lru_.back();
-            used_ -= victim.entry.plainSize;
-            index_.erase(victim.key);
-            lru_.pop_back();
+        if (const std::uint32_t *slot = index_.find(key))
+            remove(*slot);
+        while (used_ + entry.plainSize > capacity_ && tail_ != kNil) {
+            remove(tail_);
             ++stats_.evictions;
         }
-        used_ += entry.plainSize;
-        lru_.push_front(Node{key, std::move(entry)});
-        index_.emplace(key, lru_.begin());
+        std::uint32_t slot = free_;
+        if (slot != kNil) {
+            free_ = nodes_[slot].next;
+        } else {
+            slot = static_cast<std::uint32_t>(nodes_.size());
+            nodes_.emplace_back();
+        }
+        Node &node = nodes_[slot];
+        node.key = key;
+        node.entry = std::move(entry);
+        used_ += node.entry.plainSize;
+        pushFront(slot);
+        index_.tryEmplace(key, slot);
         ++stats_.insertions;
     }
 
@@ -148,19 +156,17 @@ class HotBlockCache
     bool
     invalidate(std::uint64_t vm_id, std::uint64_t block_offset)
     {
-        const auto it = index_.find(Key{vm_id, block_offset});
-        if (it == index_.end())
+        const std::uint32_t *slot = index_.find(Key{vm_id, block_offset});
+        if (slot == nullptr)
             return false;
-        used_ -= it->second->entry.plainSize;
-        lru_.erase(it->second);
-        index_.erase(it);
+        remove(*slot);
         ++stats_.invalidations;
         return true;
     }
 
     Bytes capacity() const { return capacity_; }
     Bytes used() const { return used_; }
-    std::size_t entries() const { return lru_.size(); }
+    std::size_t entries() const { return index_.size(); }
     const Stats &stats() const { return stats_; }
 
   private:
@@ -176,23 +182,79 @@ class HotBlockCache
     };
     struct KeyHash
     {
-        std::size_t
+        std::uint64_t
         operator()(const Key &k) const
         {
-            return std::hash<std::uint64_t>()(
-                k.vmId * 0x9e3779b97f4a7c15ULL ^ k.blockOffset);
+            return sim::mixBits(k.vmId * 0x9e3779b97f4a7c15ULL ^
+                                k.blockOffset);
         }
     };
+
+    /** End-of-list marker for slot links. */
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+    /**
+     * One slot: a cached block linked into the LRU list (head = most
+     * recently used), or a free slot chained through @ref next.
+     */
     struct Node
     {
-        Key key;
+        Key key{};
         Entry entry;
+        std::uint32_t prev = kNil;
+        std::uint32_t next = kNil;
     };
+
+    /** Link @p slot in as the most recently used entry. */
+    void
+    pushFront(std::uint32_t slot)
+    {
+        Node &node = nodes_[slot];
+        node.prev = kNil;
+        node.next = head_;
+        if (head_ == kNil)
+            tail_ = slot;
+        else
+            nodes_[head_].prev = slot;
+        head_ = slot;
+    }
+
+    /** Take @p slot out of the LRU list. */
+    void
+    unlink(std::uint32_t slot)
+    {
+        const Node &node = nodes_[slot];
+        if (node.prev == kNil)
+            head_ = node.next;
+        else
+            nodes_[node.prev].next = node.next;
+        if (node.next == kNil)
+            tail_ = node.prev;
+        else
+            nodes_[node.next].prev = node.prev;
+    }
+
+    /** Drop the entry in @p slot (releasing its bytes) and free the slot. */
+    void
+    remove(std::uint32_t slot)
+    {
+        Node &node = nodes_[slot];
+        unlink(slot);
+        used_ -= node.entry.plainSize;
+        index_.erase(node.key);
+        node.entry = Entry{};
+        node.next = free_;
+        free_ = slot;
+    }
 
     Bytes capacity_;
     Bytes used_ = 0;
-    std::list<Node> lru_;
-    std::unordered_map<Key, std::list<Node>::iterator, KeyHash> index_;
+    std::vector<Node> nodes_;
+    std::uint32_t head_ = kNil;
+    std::uint32_t tail_ = kNil;
+    /** First free slot; free slots chain through Node::next. */
+    std::uint32_t free_ = kNil;
+    sim::FlatMap<Key, std::uint32_t, KeyHash> index_;
     Stats stats_;
 };
 
