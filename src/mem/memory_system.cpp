@@ -5,11 +5,38 @@
 
 namespace smartds::mem {
 
+namespace {
+
+/** Averaging horizon of MemorySystem::utilization(). */
+constexpr double utilizationTauSeconds = 20e-6;
+
+} // namespace
+
 MemorySystem::MemorySystem(sim::Simulator &sim, std::string name,
                            Config config)
     : sim_(sim), config_(config),
-      share_(sim, std::move(name), config.capacity)
+      share_(sim, std::move(name), config.capacity,
+             [this]() { foldAverage(); })
 {
+}
+
+void
+MemorySystem::foldAverage() const
+{
+    const Tick now = sim_.now();
+    const double dt = toSeconds(now - averagedAt_);
+    if (dt > 0.0) {
+        const double alpha = 1.0 - std::exp(-dt / utilizationTauSeconds);
+        average_ += (share_.utilization() - average_) * alpha;
+        averagedAt_ = now;
+    }
+}
+
+double
+MemorySystem::utilization() const
+{
+    foldAverage();
+    return average_;
 }
 
 sim::FairShareResource::Flow *
@@ -21,7 +48,7 @@ MemorySystem::createFlow(std::string name, double weight)
 Tick
 MemorySystem::loadedLatency() const
 {
-    const double u = share_.averageUtilization();
+    const double u = utilization();
     const double extra =
         static_cast<double>(config_.loadedExtraLatency) *
         std::pow(u, config_.latencyExponent);

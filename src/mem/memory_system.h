@@ -46,6 +46,10 @@ class MemorySystem
 
     MemorySystem(sim::Simulator &sim, std::string name, Config config);
 
+    /** The bandwidth resource calls back into this object. */
+    MemorySystem(const MemorySystem &) = delete;
+    MemorySystem &operator=(const MemorySystem &) = delete;
+
     /** Create a bandwidth flow (a DMA stream, a core's traffic, ...). */
     sim::FairShareResource::Flow *createFlow(std::string name,
                                              double weight = 1.0);
@@ -53,8 +57,13 @@ class MemorySystem
     /** Current access latency given the recent average utilisation. */
     Tick loadedLatency() const;
 
-    /** Time-averaged fraction of capacity in use. */
-    double utilization() const { return share_.averageUtilization(); }
+    /**
+     * Exponentially time-averaged fraction of capacity in use (~20 us
+     * horizon). The bandwidth resource's instantaneous figure is 1.0
+     * whenever any elastic transfer is in progress; the latency curve and
+     * the designs' sustained-load models want this average instead.
+     */
+    double utilization() const;
 
     BytesPerSecond capacity() const { return share_.capacity(); }
 
@@ -62,8 +71,17 @@ class MemorySystem
     const Config &config() const { return config_; }
 
   private:
+    /**
+     * Fold the utilisation in force since the last fold into the average.
+     * The resource calls it before every change of its allocation; reads
+     * call it too, without changing simulation state.
+     */
+    void foldAverage() const;
+
     sim::Simulator &sim_;
     Config config_;
+    mutable double average_ = 0.0;
+    mutable Tick averagedAt_ = 0;
     sim::FairShareResource share_;
 };
 

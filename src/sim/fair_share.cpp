@@ -1,6 +1,7 @@
 #include "sim/fair_share.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -14,8 +15,12 @@ namespace {
 /** Bytes of slack below which a transfer counts as finished. */
 constexpr double completionTolerance = 1e-6;
 
-/** Averaging horizon of averageUtilization(). */
-constexpr double utilizationTauSeconds = 20e-6;
+/** Index of the lowest set bit of @p mask (nonzero): a flow index. */
+std::size_t
+lowestFlow(std::uint64_t mask)
+{
+    return static_cast<std::size_t>(std::countr_zero(mask));
+}
 
 } // namespace
 
@@ -30,6 +35,7 @@ FairShareResource::Flow::transfer(Bytes bytes, EventCallback done)
         return;
     }
     queue_.push(Pending{static_cast<double>(bytes), std::move(done)});
+    parent_.queued_ |= bit_;
     parent_.update();
 }
 
@@ -39,13 +45,21 @@ FairShareResource::Flow::setDemand(BytesPerSecond demand)
     SMARTDS_CHECK(queue_.empty(),
                    "flow '%s' mixes background demand with transfers",
                    name_.c_str());
+    if (demand != demand_)
+        parent_.limitsChanged_ = true;
     demand_ = demand;
+    if (demand_ > 0)
+        parent_.demanding_ |= bit_;
+    else
+        parent_.demanding_ &= ~bit_;
     parent_.update();
 }
 
 void
 FairShareResource::Flow::setRateCap(BytesPerSecond cap)
 {
+    if (cap != cap_)
+        parent_.limitsChanged_ = true;
     cap_ = cap;
     parent_.update();
 }
@@ -59,8 +73,10 @@ FairShareResource::Flow::deliveredBytes() const
 }
 
 FairShareResource::FairShareResource(Simulator &sim, std::string name,
-                                     BytesPerSecond capacity)
-    : sim_(sim), name_(std::move(name)), capacity_(capacity)
+                                     BytesPerSecond capacity,
+                                     EventCallback beforeUpdate)
+    : sim_(sim), name_(std::move(name)), capacity_(capacity),
+      beforeUpdate_(std::move(beforeUpdate))
 {
     SMARTDS_CHECK(capacity > 0.0, "fair-share resource '%s' needs capacity",
                    name_.c_str());
@@ -70,34 +86,20 @@ FairShareResource::Flow *
 FairShareResource::createFlow(std::string name, double weight)
 {
     SMARTDS_CHECK(weight > 0.0, "flow weight must be positive");
-    flows_.push_back(std::unique_ptr<Flow>(
-        new Flow(*this, std::move(name), weight)));
+    SMARTDS_CHECK(flows_.size() < kMaxFlows,
+                   "fair-share resource '%s' has %zu flows already",
+                   name_.c_str(), kMaxFlows);
+    flows_.push_back(std::unique_ptr<Flow>(new Flow(
+        *this, std::move(name), weight, std::uint64_t{1} << flows_.size())));
     return flows_.back().get();
 }
 
 void
-FairShareResource::setCapacity(BytesPerSecond capacity)
+FairShareResource::complete(Flow &flow)
 {
-    SMARTDS_CHECK(capacity > 0.0, "capacity must be positive");
-    update();
-    capacity_ = capacity;
-    reallocate();
-    scheduleNext();
-}
-
-double
-FairShareResource::averageUtilization() const
-{
-    // Fold the utilisation that has been in force since the last fold
-    // into the running average, without mutating simulation state.
-    const Tick now = sim_.now();
-    const double dt = toSeconds(now - emaUpdated_);
-    if (dt > 0.0) {
-        const double alpha = 1.0 - std::exp(-dt / utilizationTauSeconds);
-        emaUtilization_ += (utilization_ - emaUtilization_) * alpha;
-        emaUpdated_ = now;
-    }
-    return emaUtilization_;
+    sim_.schedule(0, flow.queue_.pop().done);
+    if (flow.queue_.empty())
+        queued_ &= ~flow.bit_;
 }
 
 void
@@ -105,58 +107,67 @@ FairShareResource::update()
 {
     const Tick now = sim_.now();
     const double dt = toSeconds(now - lastUpdate_);
-    // Fold the outgoing allocation into the average before changing it.
-    averageUtilization();
+    if (beforeUpdate_)
+        beforeUpdate_();
 
-    for (auto &flow : flows_) {
-        if (flow->rate_ <= 0.0)
-            continue;
-        double moved = flow->rate_ * dt;
-        if (flow->queue_.empty()) {
+    // Only a flow with a rate moves. Rates are never negative, so the
+    // flows outside rated_ are exactly those a walk over all would skip.
+    for (std::uint64_t m = rated_; m != 0; m &= m - 1) {
+        Flow &flow = *flows_[lowestFlow(m)];
+        double moved = flow.rate_ * dt;
+        if (flow.queue_.empty()) {
             // Pure background demand: all progress is delivered.
-            flow->delivered_ += moved;
+            flow.delivered_ += moved;
             continue;
         }
-        while (moved > 0.0 && !flow->queue_.empty()) {
-            auto &head = flow->queue_.front();
+        while (moved > 0.0 && !flow.queue_.empty()) {
+            auto &head = flow.queue_.front();
             const double used = std::min(moved, head.remaining);
             head.remaining -= used;
-            flow->delivered_ += used;
+            flow.delivered_ += used;
             moved -= used;
             if (head.remaining <= completionTolerance)
-                sim_.schedule(0, flow->queue_.pop().done);
+                complete(flow);
         }
     }
     // Events fire at ceil()+1 ticks, so a head that was due may retain a
     // sub-tolerance remainder only through floating error; sweep those too.
-    for (auto &flow : flows_) {
-        while (!flow->queue_.empty() &&
-               flow->queue_.front().remaining <= completionTolerance)
-            sim_.schedule(0, flow->queue_.pop().done);
+    for (std::uint64_t m = queued_; m != 0; m &= m - 1) {
+        Flow &flow = *flows_[lowestFlow(m)];
+        while (!flow.queue_.empty() &&
+               flow.queue_.front().remaining <= completionTolerance)
+            complete(flow);
     }
 
     lastUpdate_ = now;
-    reallocate();
+    // The rates depend on nothing else: with the same competitors and
+    // limits, water-filling would reproduce the same doubles.
+    if ((queued_ | demanding_) != allocatedFor_ || limitsChanged_)
+        reallocate();
     scheduleNext();
 }
 
 void
 FairShareResource::reallocate()
 {
+    for (std::uint64_t m = rated_; m != 0; m &= m - 1)
+        flows_[lowestFlow(m)]->rate_ = 0.0;
+    rated_ = 0;
+    allocatedFor_ = queued_ | demanding_;
+    limitsChanged_ = false;
+
     std::vector<Candidate> &cands = cands_;
     cands.clear();
     double sum_weight = 0.0;
-    for (auto &flow : flows_) {
-        flow->rate_ = 0.0;
-        if (!flow->wantsCapacity())
-            continue;
-        double limit = flow->cap_;
-        if (flow->queue_.empty())
-            limit = std::min(limit, flow->demand_);
+    for (std::uint64_t m = allocatedFor_; m != 0; m &= m - 1) {
+        Flow &flow = *flows_[lowestFlow(m)];
+        double limit = flow.cap_;
+        if (flow.queue_.empty())
+            limit = std::min(limit, flow.demand_);
         if (limit <= 0.0)
             continue;
-        cands.push_back(Candidate{flow.get(), limit});
-        sum_weight += flow->weight_;
+        cands.push_back(Candidate{&flow, limit});
+        sum_weight += flow.weight_;
     }
 
     double remaining = capacity_;
@@ -186,6 +197,11 @@ FairShareResource::reallocate()
             break;
         }
     }
+    for (std::uint64_t m = allocatedFor_; m != 0; m &= m - 1) {
+        const Flow &flow = *flows_[lowestFlow(m)];
+        if (flow.rate_ > 0.0)
+            rated_ |= flow.bit_;
+    }
     utilization_ = capacity_ > 0.0 ? (capacity_ - remaining) / capacity_ : 0.0;
     if (utilization_ < 0.0)
         utilization_ = 0.0;
@@ -194,13 +210,11 @@ FairShareResource::reallocate()
 void
 FairShareResource::scheduleNext()
 {
-    next_.cancel();
     Tick best = 0;
     bool have = false;
-    for (auto &flow : flows_) {
-        if (flow->queue_.empty() || flow->rate_ <= 0.0)
-            continue;
-        const double seconds = flow->queue_.front().remaining / flow->rate_;
+    for (std::uint64_t m = queued_ & rated_; m != 0; m &= m - 1) {
+        Flow &flow = *flows_[lowestFlow(m)];
+        const double seconds = flow.queue_.front().remaining / flow.rate_;
         // simlint: allow(tick-float): the fair-share model is defined on
         // double rates; ceil + 1 makes the ETA conservative so rounding
         // can only delay (never reorder) a completion
@@ -213,7 +227,9 @@ FairShareResource::scheduleNext()
             have = true;
         }
     }
-    if (have)
+    if (!have)
+        next_.cancel();
+    else if (!sim_.rescheduleAt(next_, sim_.now() + best))
         next_ = sim_.schedule(best, [this]() { update(); });
 }
 

@@ -39,7 +39,6 @@ class DeviceMemory
 
     Bytes capacity() const { return capacity_; }
     Bytes used() const { return used_; }
-    double utilization() const { return share_.utilization(); }
     BytesPerSecond bandwidth() const { return share_.capacity(); }
     bool functional() const { return functional_; }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the host memory model: loaded-latency curve, DDIO residency
- * model and the MLC pressure injector.
+ * Tests for the host memory model: loaded-latency curve, the utilisation
+ * average behind it, DDIO residency model and the MLC pressure injector.
  */
 
 #include <gtest/gtest.h>
@@ -53,6 +53,43 @@ TEST(MemorySystem, CurveIsGentleAtLowUtilization)
     // u^3 at 0.3 is <3% of the extra latency.
     EXPECT_LT(memory.loadedLatency(),
               memory.config().idleLatency + ticksPerMicrosecond / 5);
+}
+
+// The utilisation average lives here, not in sim::FairShareResource: it
+// is the one average anything reads, so only MemorySystem pays its exp.
+
+TEST(MemorySystemAverage, EmaTracksSustainedLoad)
+{
+    sim::Simulator sim;
+    MemorySystem memory(sim, "mem", {.capacity = 1e9});
+    auto *hog = memory.createFlow("hog");
+    hog->setDemand(0.5e9);
+    sim.runUntil(200_us); // several tau
+    EXPECT_NEAR(memory.utilization(), 0.5, 0.02);
+    hog->setDemand(0.0);
+    sim.runUntil(400_us);
+    EXPECT_NEAR(memory.utilization(), 0.0, 0.02);
+}
+
+TEST(MemorySystemAverage, ShortTransferBurstsAverageBelowOne)
+{
+    // Instantaneous utilisation is 1.0 while an elastic transfer runs;
+    // the average reflects the duty cycle instead.
+    sim::Simulator sim;
+    MemorySystem memory(sim, "mem", {.capacity = 1e9});
+    auto *flow = memory.createFlow("f");
+    // 10% duty cycle: 10 us of transfer every 100 us.
+    for (int i = 0; i < 10; ++i) {
+        sim.schedule(static_cast<Tick>(i) * 100_us, [flow]() {
+            flow->transfer(10'000, []() {}); // 10 us at full rate
+        });
+    }
+    // Sample right at the end of a burst: the 10 us of full-rate
+    // transfer raises the 20 us-horizon average partway toward 1,
+    // and the 90 us idle gaps pull it back down well below saturation.
+    sim.runUntil(910_us);
+    EXPECT_LT(memory.utilization(), 0.7);
+    EXPECT_GT(memory.utilization(), 0.1);
 }
 
 TEST(DdioModel, CapacityIsWayFraction)
