@@ -146,8 +146,13 @@ fairShareContendedTransfers(benchmark::State &state)
         sim::FairShareResource res(sim, "mem", 120e9);
         int done = 0;
         std::vector<sim::FairShareResource::Flow *> fs;
-        for (std::size_t f = 0; f < flows; ++f)
-            fs.push_back(res.createFlow("f" + std::to_string(f)));
+        for (std::size_t f = 0; f < flows; ++f) {
+            // Appended, not "f" + std::to_string(f): GCC 12 at -O3 reads
+            // that as an overlapping copy (-Werror=restrict).
+            std::string name = "f";
+            name += std::to_string(f);
+            fs.push_back(res.createFlow(std::move(name)));
+        }
         for (int i = 0; i < 200; ++i)
             fs[static_cast<std::size_t>(i) % flows]->transfer(
                 4096, [&done]() { ++done; });

@@ -126,8 +126,12 @@ stripFile(const std::string &text)
                 if (c == '"' && i > 0 && src[i - 1] == 'R') {
                     const std::size_t open = src.find('(', i);
                     if (open != std::string::npos) {
-                        const std::string delim =
-                            ")" + src.substr(i + 1, open - i - 1) + "\"";
+                        // Appended piece by piece: GCC 12 at -O3 flags
+                        // ")" + std::string&& as a -Werror=restrict
+                        // overlap it cannot have.
+                        std::string delim(1, ')');
+                        delim.append(src, i + 1, open - i - 1);
+                        delim.push_back('"');
                         const std::size_t end = src.find(delim, open);
                         i = end == std::string::npos
                                 ? src.size()
