@@ -135,6 +135,27 @@ TEST(Maintenance, SharedCoresHurtCpuOnlyTails)
     EXPECT_GT(shared.p999LatencyUs, off.p999LatencyUs);
 }
 
+TEST(Maintenance, SharedCoresHurtAccTails)
+{
+    // Acc parses every request on host cores, so maintenance that shares
+    // them must cost more than the same maintenance on cores of its own.
+    auto base = [](workload::ExperimentConfig::Maintenance m) {
+        workload::ExperimentConfig config;
+        config.design = Design::Accelerator;
+        config.cores = 4;
+        config.maintenance = m;
+        config.warmup = 2 * ticksPerMillisecond;
+        config.window = 8 * ticksPerMillisecond;
+        return workload::runWriteExperiment(config);
+    };
+    const auto dedicated =
+        base(workload::ExperimentConfig::Maintenance::DedicatedCores);
+    const auto shared =
+        base(workload::ExperimentConfig::Maintenance::SharedCores);
+    EXPECT_LT(shared.throughputGbps, dedicated.throughputGbps);
+    EXPECT_GT(shared.p999LatencyUs, dedicated.p999LatencyUs);
+}
+
 TEST(Maintenance, DedicatedCoresLeaveSmartDsUnaffected)
 {
     auto base = [](workload::ExperimentConfig::Maintenance m) {
