@@ -18,6 +18,7 @@
  */
 
 #include <cstdio>
+#include <utility>
 
 #include "corpus/corpus.h"
 #include "lz4/lz4.h"
@@ -117,7 +118,7 @@ issueWrites(sim::Simulator &sim, net::Port *vm_port,
         msg.latencySensitive = header.latencySensitive != 0;
         msg.payload.size = 4096;
         msg.payload.data = block;
-        vm_port->send(msg);
+        vm_port->send(std::move(msg));
         co_await sim::delay(sim, 2_us);
     }
 }

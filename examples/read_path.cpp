@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <map>
+#include <utility>
 
 #include "corpus/corpus.h"
 #include "lz4/lz4.h"
@@ -162,7 +163,7 @@ main()
             msg.payload.size = 4096;
             msg.payload.data =
                 std::make_shared<const std::vector<std::uint8_t>>(block);
-            vm->send(msg);
+            vm->send(std::move(msg));
             co_await sim::delay(sim, 30_us);
         }
         for (std::uint64_t tag = 1; tag <= kBlocks; ++tag) {
@@ -175,7 +176,7 @@ main()
             msg.headerBytes = kHeadSize;
             msg.headerData = header.encodeShared();
             msg.tag = tag;
-            vm->send(msg);
+            vm->send(std::move(msg));
             co_await sim::delay(sim, 30_us);
         }
     }(sim, vm, &corpus, &rng, &originals, dev.nodeId(0), qp_front.local));

@@ -40,7 +40,6 @@ enum class MessageKind : std::uint8_t
     ReadFetchReply, ///< storage server -> middle tier: compressed block
     ReadReply,     ///< middle tier -> VM: decompressed block
     Raw,           ///< transport-level traffic (microbenchmarks)
-    TransportAck,  ///< reliable-transport acknowledgement (net::roce)
 };
 
 /** Message payload: size plus optional functional bytes and metadata. */
@@ -139,9 +138,6 @@ struct Message
 
     /** Issue time of the originating request (for latency accounting). */
     std::uint64_t issueTick = 0;
-
-    /** Packet sequence number (reliable-transport layer only). */
-    std::uint64_t psn = 0;
 
     /** Trace context of the originating request (id 0 = untraced). */
     trace::TraceContext trace;

@@ -20,49 +20,6 @@ PcieLink::PcieLink(sim::Simulator &sim, const std::string &name,
 {
 }
 
-PcieSwitch::PcieSwitch(sim::Simulator &sim, const std::string &name)
-    : PcieSwitch(sim, name, PcieLink::Config{})
-{
-}
-
-PcieSwitch::PcieSwitch(sim::Simulator &sim, const std::string &name,
-                       PcieLink::Config root_config)
-    : sim_(sim), name_(name)
-{
-    // The root link adds no extra base latency of its own; the end-to-end
-    // idle latency is carried by the downstream link.
-    root_config.baseLatency = 0;
-    root_ = std::make_unique<PcieLink>(sim, name + ".root", root_config);
-}
-
-PcieLink &
-PcieSwitch::addDownstream(const std::string &name)
-{
-    return addDownstream(name, PcieLink::Config{});
-}
-
-PcieLink &
-PcieSwitch::addDownstream(const std::string &name, PcieLink::Config config)
-{
-    downstream_.push_back(
-        std::make_unique<PcieLink>(sim_, name_ + "." + name, config));
-    return *downstream_.back();
-}
-
-std::vector<sim::BandwidthServer *>
-PcieSwitch::h2dPath(std::size_t i)
-{
-    SMARTDS_CHECK(i < downstream_.size(), "downstream index out of range");
-    return {&downstream_[i]->h2d(), &root_->h2d()};
-}
-
-std::vector<sim::BandwidthServer *>
-PcieSwitch::d2hPath(std::size_t i)
-{
-    SMARTDS_CHECK(i < downstream_.size(), "downstream index out of range");
-    return {&downstream_[i]->d2h(), &root_->d2h()};
-}
-
 DmaEngine::DmaEngine(sim::Simulator &sim, std::string name,
                      mem::MemorySystem *memory,
                      std::vector<sim::BandwidthServer *> h2d_path,

@@ -1,6 +1,6 @@
 /**
  * @file
- * PCIe interconnect model: links, switches and DMA engines.
+ * PCIe interconnect model: links and DMA engines.
  *
  * A PcieLink is a pair of FIFO bandwidth servers (one per direction) with
  * the measured idle DMA latency. A DmaEngine issues chunked transfers over
@@ -18,7 +18,6 @@
 #define SMARTDS_PCIE_PCIE_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -53,37 +52,6 @@ class PcieLink
   private:
     sim::BandwidthServer h2d_;
     sim::BandwidthServer d2h_;
-};
-
-/**
- * A PCIe switch: downstream devices share one root port. Traffic between
- * a downstream device and the host crosses both the device's own link and
- * the root link (Section 5.5's two 1x4 gen3 x16 switches).
- */
-class PcieSwitch
-{
-  public:
-    PcieSwitch(sim::Simulator &sim, const std::string &name);
-    PcieSwitch(sim::Simulator &sim, const std::string &name,
-               PcieLink::Config root_config);
-
-    /** Attach a new downstream link and return it. */
-    PcieLink &addDownstream(const std::string &name);
-    PcieLink &addDownstream(const std::string &name,
-                            PcieLink::Config config);
-
-    PcieLink &root() { return *root_; }
-
-    /** Path of H2D servers from host through the switch to device @p i. */
-    std::vector<sim::BandwidthServer *> h2dPath(std::size_t i);
-    /** Path of D2H servers from device @p i through the switch to host. */
-    std::vector<sim::BandwidthServer *> d2hPath(std::size_t i);
-
-  private:
-    sim::Simulator &sim_;
-    std::string name_;
-    std::unique_ptr<PcieLink> root_;
-    std::vector<std::unique_ptr<PcieLink>> downstream_;
 };
 
 /**

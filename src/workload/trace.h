@@ -4,20 +4,15 @@
  *
  * Closed-loop clients (vm_client.h) are right for saturation sweeps, but
  * production middle tiers are sized against *recorded* traffic. This
- * module replays a block-I/O trace — from a CSV file/string or from the
- * bursty synthesizer — open loop: each record is issued at its recorded
+ * module replays a block-I/O trace — here, one from the bursty
+ * synthesizer — open loop: each record is issued at its recorded
  * timestamp regardless of completions, so queue build-up during bursts
  * is visible exactly as it would be in production.
- *
- * CSV schema (one record per line, '#' comments allowed):
- *   time_us,vm_id,offset_bytes,size_bytes,op[,latency_sensitive]
- * with op one of W/R (case-insensitive).
  */
 
 #ifndef SMARTDS_WORKLOAD_TRACE_H_
 #define SMARTDS_WORKLOAD_TRACE_H_
 
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -40,16 +35,6 @@ struct TraceRecord
     bool isRead = false;
     bool latencySensitive = false;
 };
-
-/**
- * Parse a CSV trace. @return std::nullopt on malformed input (the line
- * number is reported through warn()).
- */
-[[nodiscard]] std::optional<std::vector<TraceRecord>>
-parseCsvTrace(const std::string &csv);
-
-/** Serialise records back to the CSV schema (for round trips/exports). */
-std::string formatCsvTrace(const std::vector<TraceRecord> &records);
 
 /** Knobs for the synthetic trace generator. */
 struct TraceSynthesis

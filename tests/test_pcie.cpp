@@ -104,26 +104,22 @@ TEST_F(PcieFixture, MemoryPressureSlowsDmaReads)
     EXPECT_GT(toMicroseconds(loaded), 4.0);
 }
 
-TEST(PcieSwitch, PathsCrossDownstreamAndRoot)
-{
-    sim::Simulator sim;
-    PcieSwitch sw(sim, "sw");
-    sw.addDownstream("dev0");
-    sw.addDownstream("dev1");
-    EXPECT_EQ(sw.h2dPath(0).size(), 2u);
-    EXPECT_EQ(sw.d2hPath(1).size(), 2u);
-    EXPECT_EQ(sw.h2dPath(0)[1], &sw.root().h2d());
-}
-
 TEST(PcieSwitch, RootSharedBetweenDownstreamDevices)
 {
     sim::Simulator sim;
     mem::MemorySystem memory(sim, "mem", {});
-    PcieSwitch sw(sim, "sw");
-    sw.addDownstream("dev0");
-    sw.addDownstream("dev1");
-    DmaEngine dma0(sim, "dma0", &memory, sw.h2dPath(0), sw.d2hPath(0));
-    DmaEngine dma1(sim, "dma1", &memory, sw.h2dPath(1), sw.d2hPath(1));
+    // Two devices behind one switch, composed as the multi-card host
+    // does: each DMA path is {device link, root}, and the root adds no
+    // latency of its own.
+    PcieLink::Config root_config;
+    root_config.baseLatency = 0;
+    PcieLink root(sim, "sw.root", root_config);
+    PcieLink dev0(sim, "sw.dev0");
+    PcieLink dev1(sim, "sw.dev1");
+    DmaEngine dma0(sim, "dma0", &memory, {&dev0.h2d(), &root.h2d()},
+                   {&dev0.d2h(), &root.d2h()});
+    DmaEngine dma1(sim, "dma1", &memory, {&dev1.h2d(), &root.h2d()},
+                   {&dev1.d2h(), &root.d2h()});
 
     // Two devices each writing 1 MiB: the shared root serialises them,
     // so the total takes ~2x one device's time.

@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the trace workload: CSV parse/format round trips, the
- * bursty synthesizer's statistics, and open-loop replay against a live
- * middle tier.
+ * Tests for the trace workload: the bursty synthesizer's statistics and
+ * open-loop replay against a live middle tier.
  */
 
 #include <gtest/gtest.h>
@@ -17,59 +16,6 @@ namespace smartds::workload {
 namespace {
 
 using namespace smartds::time_literals;
-
-TEST(Trace, ParsesWellFormedCsv)
-{
-    const std::string csv =
-        "# a comment\n"
-        "0.0,1,0,4096,W\n"
-        "1.5,2,8192,4096,R,1\n"
-        "\n"
-        "3.25,1,4096,8192,w,0\n";
-    const auto records = parseCsvTrace(csv);
-    ASSERT_TRUE(records.has_value());
-    ASSERT_EQ(records->size(), 3u);
-    EXPECT_EQ((*records)[0].at, 0u);
-    EXPECT_EQ((*records)[0].vmId, 1u);
-    EXPECT_FALSE((*records)[0].isRead);
-    EXPECT_EQ((*records)[1].at, 1500 * ticksPerNanosecond);
-    EXPECT_TRUE((*records)[1].isRead);
-    EXPECT_TRUE((*records)[1].latencySensitive);
-    EXPECT_EQ((*records)[2].sizeBytes, 8192u);
-}
-
-TEST(Trace, RejectsMalformedCsv)
-{
-    EXPECT_FALSE(parseCsvTrace("1.0,1,0,4096\n").has_value());  // 4 fields
-    EXPECT_FALSE(parseCsvTrace("1.0,1,0,4096,X\n").has_value()); // bad op
-    EXPECT_FALSE(parseCsvTrace("abc,1,0,4096,W\n").has_value()); // bad num
-}
-
-TEST(Trace, SortsOutOfOrderRecords)
-{
-    const auto records = parseCsvTrace("5.0,1,0,4096,W\n1.0,1,0,4096,W\n");
-    ASSERT_TRUE(records.has_value());
-    EXPECT_LT((*records)[0].at, (*records)[1].at);
-}
-
-TEST(Trace, FormatParseRoundTrip)
-{
-    TraceSynthesis synth;
-    synth.records = 200;
-    synth.readFraction = 0.3;
-    const auto original = synthesizeTrace(synth);
-    const auto parsed = parseCsvTrace(formatCsvTrace(original));
-    ASSERT_TRUE(parsed.has_value());
-    ASSERT_EQ(parsed->size(), original.size());
-    for (std::size_t i = 0; i < original.size(); ++i) {
-        EXPECT_EQ((*parsed)[i].vmId, original[i].vmId);
-        EXPECT_EQ((*parsed)[i].offsetBytes, original[i].offsetBytes);
-        EXPECT_EQ((*parsed)[i].isRead, original[i].isRead);
-        // Timestamps survive to sub-microsecond CSV precision.
-        EXPECT_NEAR(toMicroseconds((*parsed)[i].at),
-                    toMicroseconds(original[i].at), 0.002);
-    }
-}
 
 TEST(Trace, SynthesizerHitsMeanRate)
 {
