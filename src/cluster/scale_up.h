@@ -34,7 +34,7 @@ struct ScaleUpInputs
     unsigned coresPerPort = 2;
 
     /** Cards per PCIe switch and switches per server (2 x 1x4). */
-    unsigned cardsPerSwitch = 4;
+    unsigned cardsPerSwitch = calibration::smartdsCardsPerSwitch;
     unsigned switchesPerServer = 2;
 
     /** Host budgets. */

@@ -10,11 +10,14 @@ namespace {
 /** Averaging horizon of MemorySystem::utilization(). */
 constexpr double utilizationTauSeconds = 20e-6;
 
+/** Shape of the loaded-latency curve (higher = sharper knee). */
+constexpr double latencyExponent = 3.0;
+
 } // namespace
 
 MemorySystem::MemorySystem(sim::Simulator &sim, std::string name,
                            Config config)
-    : sim_(sim), config_(config),
+    : sim_(sim),
       share_(sim, std::move(name), config.capacity,
              [this]() { foldAverage(); })
 {
@@ -50,9 +53,9 @@ MemorySystem::loadedLatency() const
 {
     const double u = utilization();
     const double extra =
-        static_cast<double>(config_.loadedExtraLatency) *
-        std::pow(u, config_.latencyExponent);
-    return config_.idleLatency + static_cast<Tick>(extra);
+        static_cast<double>(calibration::hostMemoryLoadedExtraLatency) *
+        std::pow(u, latencyExponent);
+    return calibration::hostMemoryIdleLatency + static_cast<Tick>(extra);
 }
 
 } // namespace smartds::mem

@@ -4,9 +4,15 @@
 
 namespace smartds::mem {
 
+namespace {
+
+/** Size of one injected request: a cache line. */
+constexpr Bytes requestBytes = 64;
+
+} // namespace
+
 MlcInjector::MlcInjector(MemorySystem &memory, Config config)
-    : config_(config),
-      flow_(memory.createFlow("mlc-injector", config.weight))
+    : config_(config), flow_(memory.createFlow("mlc-injector"))
 {
 }
 
@@ -17,14 +23,15 @@ MlcInjector::demandFor(unsigned delay_cycles) const
         return 0.0;
     // One request of requestBytes per (delay + issue) cycles per core;
     // the issue cost itself is roughly the cycles a streaming kernel
-    // needs per line, folded into perCoreMax at delay 0.
+    // needs per line, folded into mlcPerCoreBandwidth at delay 0.
     const double delay_s =
-        static_cast<double>(delay_cycles) / config_.coreHz;
-    const double issue_s =
-        static_cast<double>(config_.requestBytes) / config_.perCoreMax;
+        static_cast<double>(delay_cycles) / calibration::hostCoreHz;
+    const double issue_s = static_cast<double>(requestBytes) /
+                           calibration::mlcPerCoreBandwidth;
     const double per_core =
-        static_cast<double>(config_.requestBytes) / (delay_s + issue_s);
-    const double capped = std::min(per_core, config_.perCoreMax);
+        static_cast<double>(requestBytes) / (delay_s + issue_s);
+    const double capped =
+        std::min(per_core, calibration::mlcPerCoreBandwidth);
     return capped * static_cast<double>(config_.cores);
 }
 

@@ -30,17 +30,6 @@ class MlcInjector
     {
         /** Number of cores running the injector. */
         unsigned cores = 16;
-        /** Core frequency, Hz. */
-        double coreHz = calibration::hostCoreHz;
-        /**
-         * Peak streaming bandwidth one core can demand with no delay
-         * (read+write combined, limited by load/store throughput and MLP).
-         */
-        BytesPerSecond perCoreMax = 14e9;
-        /** Request size (a cache line). */
-        Bytes requestBytes = 64;
-        /** Fairness weight of the injector against other memory users. */
-        double weight = 1.0;
     };
 
     /** Sentinel delay meaning "injector off". */
@@ -63,8 +52,6 @@ class MlcInjector
 
     /** Total bytes the injector has actually moved. */
     double deliveredBytes() const { return flow_->deliveredBytes(); }
-
-    const Config &config() const { return config_; }
 
   private:
     Config config_;

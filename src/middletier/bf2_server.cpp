@@ -9,18 +9,27 @@
 
 namespace smartds::middletier {
 
-Bf2Server::Bf2Server(net::Fabric &fabric, ServerConfig config)
-    : Bf2Server(fabric, std::move(config), Bf2Config{})
-{
-}
+namespace {
 
-Bf2Server::Bf2Server(net::Fabric &fabric, ServerConfig config, Bf2Config bf2)
-    : PerRequestServer(fabric, std::move(config)), bf2_(bf2),
-      devMemory_(sim_, "bf2.dram", bf2.memoryBandwidth),
+/**
+ * BF2's software path is SmartDS-like (headers only, no payload touch),
+ * but runs on wimpy Arm cores.
+ */
+// simlint: allow(tick-float): a compile-time product of calibration
+// constants; every build computes the same cost
+constexpr Tick armRequestCost = static_cast<Tick>(
+    static_cast<double>(calibration::smartdsHostRequestCost) *
+    calibration::bf2ArmSlowdown);
+
+} // namespace
+
+Bf2Server::Bf2Server(net::Fabric &fabric, ServerConfig config, unsigned ports)
+    : PerRequestServer(fabric, std::move(config)),
+      devMemory_(sim_, "bf2.dram", calibration::bf2DeviceMemoryBandwidth),
       arm_(sim_, "bf2.arm",
            std::min(config_.cores, calibration::bf2ArmCores))
 {
-    for (unsigned i = 0; i < bf2_.ports; ++i) {
+    for (unsigned i = 0; i < ports; ++i) {
         auto *port =
             fabric.createPort("bf2.p" + std::to_string(i));
         port->onReceive([this, i](net::Message &&msg) {
@@ -45,14 +54,8 @@ Bf2Server::Bf2Server(net::Fabric &fabric, ServerConfig config, Bf2Config bf2)
     engineWrite_ = devMemory_.createFlow("bf2.engine-write");
     txRead_ = devMemory_.createFlow("bf2.tx-read");
     engine_ = std::make_unique<sim::BandwidthServer>(
-        sim_, "bf2.engine", bf2_.engineRate, bf2_.engineLatency);
-    // BF2's software path is SmartDS-like (headers only, no payload
-    // touch), but runs on wimpy Arm cores.
-    // simlint: allow(tick-float): one-time setup from calibration
-    // constants; every run of the same binary computes the same cost
-    armRequestCost_ = static_cast<Tick>(
-        static_cast<double>(calibration::smartdsHostRequestCost) *
-        bf2_.armSlowdown);
+        sim_, "bf2.engine", calibration::bf2EngineBandwidth,
+        calibration::bf2EngineBlockLatency);
 }
 
 net::NodeId
@@ -81,7 +84,7 @@ Bf2Server::addUsageProbes(UsageProbes &probes)
 sim::Task
 Bf2Server::parse(const net::Message &req)
 {
-    return parseOn(arm_, armRequestCost_, req);
+    return parseOn(arm_, armRequestCost, req);
 }
 
 sim::Task

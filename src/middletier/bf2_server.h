@@ -32,25 +32,16 @@ namespace smartds::middletier {
 class Bf2Server : public PerRequestServer
 {
   public:
-    struct Bf2Config
-    {
-        /** Networking ports (BF2: 2x100GbE). */
-        unsigned ports = calibration::bf2Ports;
-        /** Total compression-engine throughput (paper: ~40 Gbps). */
-        BytesPerSecond engineRate = calibration::bf2EngineBandwidth;
-        /** Engine fixed latency per block. */
-        Tick engineLatency = calibration::bf2EngineBlockLatency;
-        /** Achievable device DRAM bandwidth. */
-        BytesPerSecond memoryBandwidth = calibration::bf2DeviceMemoryBandwidth;
-        /** Arm parse slowdown relative to the host Xeon. */
-        double armSlowdown = calibration::bf2ArmSlowdown;
-    };
-
-    Bf2Server(net::Fabric &fabric, ServerConfig config);
-    Bf2Server(net::Fabric &fabric, ServerConfig config, Bf2Config bf2);
+    /** @p ports: networking ports to use (BF2: 2x100GbE). */
+    Bf2Server(net::Fabric &fabric, ServerConfig config,
+              unsigned ports = calibration::bf2Ports);
 
     net::NodeId frontNode(unsigned port = 0) const override;
-    unsigned frontPorts() const override { return bf2_.ports; }
+    unsigned
+    frontPorts() const override
+    {
+        return static_cast<unsigned>(ports_.size());
+    }
     Design design() const override { return Design::Bf2; }
     void addUsageProbes(UsageProbes &probes) override;
 
@@ -87,7 +78,6 @@ class Bf2Server : public PerRequestServer
         net::Message msg;
     };
 
-    Bf2Config bf2_;
     std::vector<net::Port *> ports_;
     sim::FairShareResource devMemory_;
     sim::FairShareResource::Flow *rxWrite_;
@@ -96,7 +86,6 @@ class Bf2Server : public PerRequestServer
     sim::FairShareResource::Flow *txRead_;
     std::unique_ptr<sim::BandwidthServer> engine_;
     host::CorePool arm_;
-    Tick armRequestCost_;
     /**
      * Messages inside rxWrite_ and toStorage() messages inside txRead_,
      * oldest first: a flow's transfers complete in submission order, so

@@ -8,15 +8,22 @@
 
 namespace smartds::middletier {
 
+namespace {
+
+/** Segment and chunk sizes (the paper's Section 2.1 example). */
+constexpr Bytes segmentBytes = gibibytes(32);
+constexpr Bytes chunkBytes = mebibytes(64);
+static_assert(chunkBytes > 0 && segmentBytes >= chunkBytes,
+              "segment must hold at least one chunk");
+
+} // namespace
+
 ChunkManager::ChunkManager(Config config,
                            const std::vector<net::NodeId> &storage_nodes,
                            const std::vector<unsigned> &storage_racks)
     : config_(config), placement_(storage_nodes, storage_racks),
       rng_(config.seed)
 {
-    SMARTDS_CHECK(config_.chunkBytes > 0 &&
-                       config_.segmentBytes >= config_.chunkBytes,
-                   "segment must hold at least one chunk");
     SMARTDS_CHECK(placement_.size() >= config_.replication,
                    "need at least %u storage servers", config_.replication);
     SMARTDS_CHECK(config_.replication <= ReplicaSet::kMaxReplicas,
@@ -30,10 +37,10 @@ ChunkManager::locate(std::uint64_t vm_id, std::uint64_t byte_offset) const
     ChunkRef ref;
     // Each VM's LBA space is carved into segments; the segment id folds
     // in the owning VM so distinct disks never share a segment.
-    const std::uint64_t segment_index = byte_offset / config_.segmentBytes;
+    const std::uint64_t segment_index = byte_offset / segmentBytes;
     ref.segmentId = vm_id * 1000003ULL + segment_index;
     ref.chunkIndex = static_cast<std::uint32_t>(
-        (byte_offset % config_.segmentBytes) / config_.chunkBytes);
+        (byte_offset % segmentBytes) / chunkBytes);
     return ref;
 }
 

@@ -103,10 +103,6 @@ class ChunkManager
   public:
     struct Config
     {
-        /** Segment size (paper example: 32 GiB). */
-        Bytes segmentBytes = gibibytes(32);
-        /** Chunk size (paper example: 64 MiB). */
-        Bytes chunkBytes = mebibytes(64);
         /** Replicas per chunk. */
         unsigned replication = 3;
         /** Writes per chunk before LSM compaction is due (2.2.3). */

@@ -8,6 +8,13 @@
 
 namespace smartds::middletier {
 
+namespace {
+
+/** Fraction of a burst that compaction writes back out. */
+constexpr double compactionRewriteFraction = 0.55;
+
+} // namespace
+
 MaintenanceService::MaintenanceService(sim::Simulator &sim,
                                        const std::string &name,
                                        host::CorePool &pool,
@@ -53,14 +60,14 @@ MaintenanceService::loop()
         // shares bandwidth with the serving datapath.
         const Tick processing = transferTicks(
             config_.burstBytes,
-            config_.perCoreRate * static_cast<double>(cores));
+            calibration::hostCompactionPerCore * static_cast<double>(cores));
         auto compute = sim::timerAsync(sim_, processing);
         auto mem_read =
             sim::transferAsync(sim_, *readFlow_, config_.burstBytes);
         auto mem_write = sim::transferAsync(
             sim_, *writeFlow_,
             static_cast<Bytes>(static_cast<double>(config_.burstBytes) *
-                               config_.rewriteFraction));
+                               compactionRewriteFraction));
         co_await compute;
         co_await mem_read;
         co_await mem_write;
@@ -99,7 +106,8 @@ MaintenanceService::repair(RepairKey key, Bytes bytes, unsigned read_fan_in,
     const Tick start = sim_.now();
     co_await pool_.acquire();
     const Bytes read_bytes = bytes * fan_in;
-    const Tick processing = transferTicks(read_bytes, config_.perCoreRate);
+    const Tick processing =
+        transferTicks(read_bytes, calibration::hostCompactionPerCore);
     auto compute = sim::timerAsync(sim_, processing);
     auto mem_read = sim::transferAsync(sim_, *readFlow_, read_bytes);
     co_await compute;

@@ -62,10 +62,6 @@ class MaintenanceService
         Bytes burstBytes = 8u << 20;
         /** Cores a burst occupies. */
         unsigned cores = 4;
-        /** Per-core compaction processing rate. */
-        BytesPerSecond perCoreRate = gbps(8.0);
-        /** Fraction of the burst rewritten (compaction output). */
-        double rewriteFraction = 0.55;
         std::uint64_t seed = 99;
     };
 

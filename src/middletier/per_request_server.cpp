@@ -59,7 +59,7 @@ encodeShards(const ec::RsCodec &codec, const net::Payload &block)
 
 PerRequestServer::PerRequestServer(net::Fabric &fabric, ServerConfig config)
     : sim_(fabric.simulator()), fabric_(fabric), config_(std::move(config)),
-      rng_(config_.seed), health_(config_.failover.suspectThreshold),
+      rng_(config_.seed), health_(calibration::nodeSuspectThreshold),
       placement_(config_.storageNodes, config_.storageDomains)
 {
     if (config_.policy == ReplicationPolicy::ErasureCode)

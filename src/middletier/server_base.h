@@ -75,8 +75,6 @@ struct FailoverConfig
     Tick ackTimeoutCap = calibration::replicaAckTimeoutCap;
     /** Retries per replica after the first attempt. */
     unsigned maxRetries = calibration::replicaMaxRetries;
-    /** Consecutive timeouts before a node is suspected. */
-    unsigned suspectThreshold = calibration::nodeSuspectThreshold;
     /**
      * Replica acks that complete the VM write (0 = all). With 2-of-3,
      * the VM ack leaves at the second ack and the straggler finishes in

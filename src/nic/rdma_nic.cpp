@@ -9,17 +9,13 @@ namespace smartds::nic {
 
 RdmaNic::RdmaNic(net::Fabric &fabric, const std::string &name,
                  mem::MemorySystem *host_memory)
-    : RdmaNic(fabric, name, host_memory, Config{})
-{
-}
-
-RdmaNic::RdmaNic(net::Fabric &fabric, const std::string &name,
-                 mem::MemorySystem *host_memory, Config config)
-    : fabric_(fabric),
-      port_(fabric.createPort(name + ".port", config.lineRate)),
-      pcie_(fabric.simulator(), name + ".pcie", config.pcie),
+    : fabric_(fabric), port_(fabric.createPort(name + ".port")),
+      pcie_(fabric.simulator(), name + ".pcie"),
       dma_(fabric.simulator(), name + ".dma", host_memory,
-           {&pcie_.h2d()}, {&pcie_.d2h()}, config.dma)
+           {&pcie_.h2d()}, {&pcie_.d2h()},
+           // A commodity NIC's streaming windows (Figure 4).
+           {.readWindowBytes = calibration::deviceDmaWindowBytes,
+            .writeWindowBytes = calibration::deviceDmaWindowBytes})
 {
     rxOptions_.stallOnMemory = false; // DMA writes are posted
     port_->onReceive([this](net::Message &&msg) {

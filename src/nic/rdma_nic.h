@@ -27,19 +27,8 @@ namespace smartds::nic {
 class RdmaNic
 {
   public:
-    struct Config
-    {
-        pcie::PcieLink::Config pcie;
-        pcie::DmaEngine::Config dma{4096,
-                                    calibration::deviceDmaWindowBytes,
-                                    calibration::deviceDmaWindowBytes};
-        BytesPerSecond lineRate = calibration::lineRate100G;
-    };
-
     RdmaNic(net::Fabric &fabric, const std::string &name,
             mem::MemorySystem *host_memory);
-    RdmaNic(net::Fabric &fabric, const std::string &name,
-            mem::MemorySystem *host_memory, Config config);
 
     /** Node id remote peers address this NIC at. */
     net::NodeId nodeId() const { return port_->id(); }

@@ -14,18 +14,14 @@
 namespace smartds::device {
 
 SmartDsDevice::SmartDsDevice(net::Fabric &fabric, const std::string &name,
-                             mem::MemorySystem *host_memory)
-    : SmartDsDevice(fabric, name, host_memory, Config{})
-{
-}
-
-SmartDsDevice::SmartDsDevice(net::Fabric &fabric, const std::string &name,
                              mem::MemorySystem *host_memory, Config config)
     : fabric_(fabric), sim_(fabric.simulator()), name_(name),
       config_(config), hostMemory_(host_memory),
-      hbm_(sim_, name, config.hbmCapacity, config.hbmBandwidth,
-           config.functional),
-      pcie_(sim_, name + ".pcie", config.pcie),
+      hbm_(sim_, name, config.hbmCapacity, config.functional),
+      pcie_(sim_, name + ".pcie"),
+      // SmartDS crosses PCIe only with 64-byte headers and descriptors;
+      // the engine's default byte windows (128 KiB read, 64 KiB write)
+      // let six ports' header DMAs pipeline freely.
       dma_(sim_, name + ".dma", host_memory,
            [this, &config] {
                std::vector<sim::BandwidthServer *> path{&pcie_.h2d()};
@@ -38,18 +34,6 @@ SmartDsDevice::SmartDsDevice(net::Fabric &fabric, const std::string &name,
                path.insert(path.end(), config.d2hTail.begin(),
                            config.d2hTail.end());
                return path;
-           }(),
-           [&config] {
-               // SmartDS crosses PCIe only with 64-byte headers and
-               // descriptors; the hardware keeps hundreds of such small
-               // DMAs in flight. Give the header engine a roomy byte
-               // window so six ports' header traffic pipelines freely.
-               auto dma = config.dma;
-               dma.readWindowBytes =
-                   std::max<Bytes>(dma.readWindowBytes, 64 * 1024);
-               dma.writeWindowBytes =
-                   std::max<Bytes>(dma.writeWindowBytes, 64 * 1024);
-               return dma;
            }())
 {
     SMARTDS_CHECK(config.ports >= 1 &&
@@ -63,7 +47,7 @@ SmartDsDevice::SmartDsDevice(net::Fabric &fabric, const std::string &name,
     for (unsigned i = 0; i < config.ports; ++i) {
         auto state = std::make_unique<PortState>();
         const std::string pname = name + ".p" + std::to_string(i);
-        state->port = fabric.createPort(pname, config.lineRate);
+        state->port = fabric.createPort(pname);
         state->compressEngine = std::make_unique<sim::BandwidthServer>(
             sim_, pname + ".comp", config.engineRate, config.engineLatency);
         state->decompressEngine = std::make_unique<sim::BandwidthServer>(
@@ -71,8 +55,8 @@ SmartDsDevice::SmartDsDevice(net::Fabric &fabric, const std::string &name,
             config.engineLatency);
         if (config.ecEngine)
             state->ecEngine = std::make_unique<sim::BandwidthServer>(
-                sim_, pname + ".ec", config.ecEngineRate,
-                config.ecEngineLatency);
+                sim_, pname + ".ec", calibration::smartdsEcEnginePerPort,
+                calibration::smartdsEcEngineLatency);
         state->qps.emplace_back(); // QpId 0 is never handed out
         state->splitWrite = hbm_.createFlow(pname + ".split-w");
         state->assembleRead = hbm_.createFlow(pname + ".assemble-r");
@@ -273,7 +257,7 @@ SmartDsDevice::performSplit(unsigned port_index, RecvDescriptor desc,
       split_depth));
 
     sim_.schedule(
-        config_.splitLatency,
+        calibration::smartdsSplitLatency,
         [this, port_index, host_part, dev_part, join]() {
             splitLegs(port_index, host_part, dev_part, join);
         },
@@ -385,7 +369,7 @@ SmartDsDevice::mixedSend(const Qp &qp, BufferRef h, Bytes h_size,
     state.assembleRead->transfer(d_size, JoinLeg{this, join});
 
     auto *port = state.port;
-    const Tick assemble_latency = config_.splitLatency;
+    const Tick assemble_latency = calibration::smartdsSplitLatency;
     trace::Tracer *tracer = tctx ? fabric_.tracer() : nullptr;
     const Tick assemble_start = sim_.now();
     sim::spawn(sim_, [](sim::Simulator &sim, sim::Completion gathered,

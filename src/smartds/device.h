@@ -150,16 +150,8 @@ class SmartDsDevice
         BytesPerSecond engineRate = calibration::smartdsEnginePerPort;
         /** Engine fixed pipeline latency per invocation. */
         Tick engineLatency = calibration::fpgaEngineBlockLatency;
-        /** Split/Assemble fixed latency per message. */
-        Tick splitLatency = calibration::smartdsSplitLatency;
-        /** HBM capacity / bandwidth. */
+        /** HBM capacity. */
         Bytes hbmCapacity = calibration::smartdsHbmBytes;
-        BytesPerSecond hbmBandwidth = calibration::smartdsHbmBandwidth;
-        /** Port line rate. */
-        BytesPerSecond lineRate = calibration::lineRate100G;
-        /** PCIe link and DMA engine configuration. */
-        pcie::PcieLink::Config pcie;
-        pcie::DmaEngine::Config dma;
         /**
          * Additional PCIe hops between this card's own link and the
          * host (e.g. a PCIe switch's root port when several cards share
@@ -192,10 +184,6 @@ class SmartDsDevice
          * per port; the baseline bitstream rows are unchanged when off.
          */
         bool ecEngine = false;
-        /** Per-port EC engine throughput. */
-        BytesPerSecond ecEngineRate = calibration::smartdsEcEnginePerPort;
-        /** EC engine fixed pipeline latency per invocation. */
-        Tick ecEngineLatency = calibration::smartdsEcEngineLatency;
     };
 
     /** A connected queue pair on one of the device's RoCE instances. */
@@ -222,8 +210,6 @@ class SmartDsDevice
         Bytes size() const { return completion.value(); }
     };
 
-    SmartDsDevice(net::Fabric &fabric, const std::string &name,
-                  mem::MemorySystem *host_memory);
     SmartDsDevice(net::Fabric &fabric, const std::string &name,
                   mem::MemorySystem *host_memory, Config config);
 

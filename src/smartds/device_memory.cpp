@@ -8,10 +8,9 @@
 namespace smartds::device {
 
 DeviceMemory::DeviceMemory(sim::Simulator &sim, const std::string &name,
-                           Bytes capacity, BytesPerSecond bandwidth,
-                           bool functional)
+                           Bytes capacity, bool functional)
     : capacity_(capacity), functional_(functional),
-      share_(sim, name + ".hbm", bandwidth)
+      share_(sim, name + ".hbm", calibration::smartdsHbmBandwidth)
 {
 }
 

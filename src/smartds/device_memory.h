@@ -26,9 +26,7 @@ class DeviceMemory
 {
   public:
     DeviceMemory(sim::Simulator &sim, const std::string &name,
-                 Bytes capacity = calibration::smartdsHbmBytes,
-                 BytesPerSecond bandwidth = calibration::smartdsHbmBandwidth,
-                 bool functional = false);
+                 Bytes capacity, bool functional);
 
     /** Allocate @p size bytes; fatal on exhaustion (configuration error). */
     BufferRef alloc(Bytes size);
@@ -39,7 +37,6 @@ class DeviceMemory
 
     Bytes capacity() const { return capacity_; }
     Bytes used() const { return used_; }
-    BytesPerSecond bandwidth() const { return share_.capacity(); }
     bool functional() const { return functional_; }
 
   private:

@@ -32,8 +32,6 @@ class StorageServer
   public:
     struct Config
     {
-        /** NVMe append latency per block. */
-        Tick appendLatency = calibration::storageAppendLatency;
         /** Disk ingest bandwidth. */
         BytesPerSecond ingestBandwidth = calibration::storageIngestBandwidth;
         /** Keep block bytes for functional read-back verification. */

@@ -343,21 +343,15 @@ runWriteExperiment(const ExperimentConfig &config)
         server = std::make_unique<middletier::CpuOnlyServer>(fabric, memory,
                                                              server_config);
         break;
-      case middletier::Design::Accelerator: {
-        middletier::AcceleratorServer::AccConfig acc;
-        acc.ddio = config.ddio;
+      case middletier::Design::Accelerator:
         server = std::make_unique<middletier::AcceleratorServer>(
-            fabric, memory, server_config, acc);
+            fabric, memory, server_config, config.ddio);
         break;
-      }
-      case middletier::Design::Bf2: {
-        middletier::Bf2Server::Bf2Config bf2;
-        bf2.ports = std::max(1u, std::min(config.ports,
-                                          calibration::bf2Ports));
-        server = std::make_unique<middletier::Bf2Server>(fabric,
-                                                         server_config, bf2);
+      case middletier::Design::Bf2:
+        server = std::make_unique<middletier::Bf2Server>(
+            fabric, server_config,
+            std::max(1u, std::min(config.ports, calibration::bf2Ports)));
         break;
-      }
       case middletier::Design::SmartDs: {
         middletier::SmartDsServer::SmartDsConfig sd;
         sd.ports = config.ports;

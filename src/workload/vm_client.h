@@ -63,8 +63,6 @@ class VmClient
         double latencySensitiveFraction = 0.0;
         /** Fraction of requests that are reads (rest are writes). */
         double readFraction = 0.0;
-        /** Mean think time between completions and next issue. */
-        Tick thinkMean = calibration::clientPerRequestCost;
         /** Virtual-disk size the client addresses (LBA space). */
         Bytes virtualDiskBytes = gibibytes(64);
         /**

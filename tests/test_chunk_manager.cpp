@@ -20,8 +20,6 @@ ChunkManager
 makeManager(unsigned threshold = 4)
 {
     ChunkManager::Config config;
-    config.segmentBytes = gibibytes(32);
-    config.chunkBytes = mebibytes(64);
     config.compactionThreshold = threshold;
     return ChunkManager(config, {11, 12, 13, 14, 15, 16});
 }

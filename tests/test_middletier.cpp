@@ -146,10 +146,8 @@ TEST(MiddleTier, AcceleratorDdioControlsMemoryReads)
     // without it, reads appear (Figure 8a's key contrast).
     auto run = [](bool ddio) {
         Testbed bed;
-        AcceleratorServer::AccConfig acc;
-        acc.ddio = ddio;
         AcceleratorServer server(bed.fabric, bed.memory,
-                                 bed.serverConfig(2), acc);
+                                 bed.serverConfig(2), ddio);
         UsageProbes probes;
         server.addUsageProbes(probes);
         auto client = bed.makeClient(server.frontNode(), 0, 8, false);
