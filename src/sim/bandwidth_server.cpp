@@ -25,8 +25,6 @@ BandwidthServer::transfer(Bytes bytes, EventCallback done)
     freeAt_ = start + service;
     busy_ += service;
     totalBytes_ += bytes;
-    for (auto *m : meters_)
-        m->add(bytes);
     sim_.scheduleAt(freeAt_ + baseLatency_, std::move(done));
 }
 

@@ -19,9 +19,7 @@
 #define SMARTDS_SIM_BANDWIDTH_SERVER_H_
 
 #include <string>
-#include <vector>
 
-#include "common/rate_meter.h"
 #include "common/time.h"
 #include "common/units.h"
 #include "sim/simulator.h"
@@ -53,9 +51,6 @@ class BandwidthServer
      */
     void transfer(Bytes bytes, EventCallback done);
 
-    /** Attach a meter that accrues every byte entering the server. */
-    void attachMeter(RateMeter *meter) { meters_.push_back(meter); }
-
     /** Current backlog: ticks until the server would go idle. */
     Tick backlog() const;
 
@@ -80,7 +75,6 @@ class BandwidthServer
     Tick freeAt_ = 0;
     Tick busy_ = 0;
     Bytes totalBytes_ = 0;
-    std::vector<RateMeter *> meters_;
 };
 
 } // namespace smartds::sim

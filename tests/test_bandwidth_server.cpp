@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the FIFO bandwidth server: serialisation time, queueing,
- * pipeline latency, backlog accounting and meters.
+ * pipeline latency and backlog accounting.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/rate_meter.h"
 #include "sim/bandwidth_server.h"
 #include "sim/simulator.h"
 
@@ -127,20 +126,6 @@ TEST(BandwidthServer, ZeroByteTransferCompletesAfterBaseLatency)
     sim.run();
     EXPECT_TRUE(fired);
     EXPECT_EQ(done, 100_ns);
-}
-
-TEST(BandwidthServer, MeterAccruesBytesWhenOpen)
-{
-    Simulator sim;
-    BandwidthServer server(sim, "s", 1e9);
-    RateMeter meter;
-    server.attachMeter(&meter);
-    server.transfer(100, []() {});
-    meter.open(sim.now());
-    server.transfer(200, []() {});
-    sim.run();
-    meter.close(sim.now());
-    EXPECT_EQ(meter.bytes(), 200u);
 }
 
 TEST(BandwidthServer, BusyTicksAccumulate)

@@ -140,25 +140,6 @@ TEST_F(FabricFixture, IngressContentionCapsAggregate)
     EXPECT_GT(rate, 85.0);
 }
 
-TEST_F(FabricFixture, MetersCountApplicationBytes)
-{
-    Port *a = fabric.createPort("a");
-    Port *b = fabric.createPort("b");
-    b->onReceive([](Message) {});
-    a->txMeter().open(0);
-    b->rxMeter().open(0);
-    Message msg;
-    msg.dst = b->id();
-    msg.headerBytes = 64;
-    msg.payload.size = 1000;
-    a->send(std::move(msg));
-    sim.run();
-    a->txMeter().close(sim.now());
-    b->rxMeter().close(sim.now());
-    EXPECT_EQ(a->txMeter().bytes(), 1064u);
-    EXPECT_EQ(b->rxMeter().bytes(), 1064u);
-}
-
 TEST_F(FabricFixture, LocalSendCompletionFiresAtWireDeparture)
 {
     Port *a = fabric.createPort("a");
