@@ -40,11 +40,11 @@ StorageHeader::encodeInto(std::uint8_t *dst) const
     std::memset(dst, 0, wireSize);
     std::size_t at = 0;
     put(dst, at, vmId);
-    put(dst, at, segmentId);
+    at += sizeof(std::uint64_t); // reserved: segment id
     put(dst, at, blockOffset);
     put(dst, at, tag);
     put(dst, at, payloadSize);
-    put(dst, at, serviceType);
+    at += sizeof(std::uint32_t); // reserved: service type
     put(dst, at, blockChecksum);
     put(dst, at, latencySensitive);
     put(dst, at, compressionEffort);
@@ -81,11 +81,11 @@ StorageHeader::decode(const std::uint8_t *data)
     StorageHeader h;
     std::size_t at = 0;
     h.vmId = get<std::uint64_t>(data, at);
-    h.segmentId = get<std::uint64_t>(data, at);
+    at += sizeof(std::uint64_t); // reserved: segment id
     h.blockOffset = get<std::uint64_t>(data, at);
     h.tag = get<std::uint64_t>(data, at);
     h.payloadSize = get<std::uint32_t>(data, at);
-    h.serviceType = get<std::uint32_t>(data, at);
+    at += sizeof(std::uint32_t); // reserved: service type
     h.blockChecksum = get<std::uint32_t>(data, at);
     h.latencySensitive = get<std::uint8_t>(data, at);
     h.compressionEffort = get<std::uint8_t>(data, at);

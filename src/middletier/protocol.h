@@ -8,6 +8,13 @@
  * 64 bytes on the wire (Section 4's "small part, e.g. 64 bytes"). The
  * functional paths encode/decode this header for real; the timing paths
  * only carry its size.
+ *
+ * Wire layout (little-endian): vmId at 0, blockOffset at 16, tag at 24,
+ * payloadSize at 32, blockChecksum at 40, latencySensitive at 44 and
+ * compressionEffort at 45. Bytes 8-15 and 36-39 are reserved where the
+ * paper's header carries the segment id and the service type (the chunk
+ * manager derives segments from the block offset, and no workload sets a
+ * service type); they and bytes 46-63 are zero.
  */
 
 #ifndef SMARTDS_MIDDLETIER_PROTOCOL_H_
@@ -29,11 +36,9 @@ struct StorageHeader
     static constexpr Bytes wireSize = calibration::storageHeaderBytes;
 
     std::uint64_t vmId = 0;
-    std::uint64_t segmentId = 0;
     std::uint64_t blockOffset = 0;
     std::uint64_t tag = 0;          ///< request identity
     std::uint32_t payloadSize = 0;  ///< data-block bytes
-    std::uint32_t serviceType = 0;  ///< workload class
     std::uint32_t blockChecksum = 0; ///< xxHash32 of the (plain) block
     std::uint8_t latencySensitive = 0; ///< skip compression when set
     std::uint8_t compressionEffort = 1; ///< effort the tier should spend
