@@ -23,13 +23,6 @@ using namespace smartds;
 using namespace smartds::bench;
 using middletier::Design;
 
-double
-usage(const workload::ExperimentResult &r, const char *key)
-{
-    const auto it = r.usageGbps.find(key);
-    return it == r.usageGbps.end() ? 0.0 : it->second;
-}
-
 } // namespace
 
 int

@@ -85,9 +85,7 @@ main(int argc, char **argv)
         const auto &sd2 = runner.result(indices[i].sd2);
         const auto &sd8 = runner.result(indices[i].sd8);
 
-        const auto it = sd2.usageGbps.find("pcie.smartds.h2d");
-        const double hdr_pcie =
-            it == sd2.usageGbps.end() ? 0.0 : it->second;
+        const double hdr_pcie = usage(sd2, "pcie.smartds.h2d");
         const double best =
             std::max(sd2.throughputGbps, sd8.throughputGbps);
         std::string label = block >= 1024
