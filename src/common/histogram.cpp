@@ -2,60 +2,62 @@
 
 #include <bit>
 
-#include "common/check.h"
-#include "common/logging.h"
-
 namespace smartds {
 
-LogHistogram::LogHistogram(unsigned sub_bucket_bits)
-    : subBucketBits_(sub_bucket_bits), subBuckets_(1ULL << sub_bucket_bits)
+namespace {
+
+/** log2 of the sub-buckets per octave. */
+constexpr unsigned subBucketBits = 5;
+constexpr std::uint64_t subBuckets = 1ULL << subBucketBits;
+
+} // namespace
+
+LogHistogram::LogHistogram()
 {
-    SMARTDS_CHECK(sub_bucket_bits >= 1 && sub_bucket_bits <= 12,
-                   "sub_bucket_bits out of range");
-    // One linear region for values < subBuckets_, then one octave of
-    // subBuckets_/2 buckets for each further doubling up to 2^64.
-    const unsigned octaves = 64 - subBucketBits_;
-    counts_.assign(subBuckets_ + octaves * (subBuckets_ / 2), 0);
+    // One linear region for values < subBuckets, then one octave of
+    // subBuckets/2 buckets for each further doubling up to 2^64.
+    const unsigned octaves = 64 - subBucketBits;
+    counts_.assign(subBuckets + octaves * (subBuckets / 2), 0);
 }
 
 unsigned
 LogHistogram::bucketIndex(std::uint64_t value) const
 {
-    if (value < subBuckets_)
+    if (value < subBuckets)
         return static_cast<unsigned>(value);
     const unsigned msb = 63 - std::countl_zero(value);
-    const unsigned octave = msb - (subBucketBits_ - 1); // >= 1
+    const unsigned octave = msb - (subBucketBits - 1); // >= 1
     // Position of the value within its octave, quantised to half the
     // sub-bucket count (the top bit is implied).
     const unsigned within = static_cast<unsigned>(
-        (value >> (msb - (subBucketBits_ - 1))) - (subBuckets_ / 2));
-    return static_cast<unsigned>(subBuckets_ +
-                                 (octave - 1) * (subBuckets_ / 2) + within);
+        (value >> (msb - (subBucketBits - 1))) - (subBuckets / 2));
+    return static_cast<unsigned>(subBuckets +
+                                 (octave - 1) * (subBuckets / 2) + within);
 }
 
 std::uint64_t
 LogHistogram::bucketLow(unsigned index) const
 {
-    if (index < subBuckets_)
+    if (index < subBuckets)
         return index;
-    const unsigned rest = index - static_cast<unsigned>(subBuckets_);
-    const unsigned octave = rest / (subBuckets_ / 2) + 1;
-    const unsigned within = rest % (subBuckets_ / 2);
-    const unsigned msb = octave + (subBucketBits_ - 1);
-    return (subBuckets_ / 2 + within) << (msb - (subBucketBits_ - 1));
+    const unsigned rest = index - static_cast<unsigned>(subBuckets);
+    const unsigned octave = rest / (subBuckets / 2) + 1;
+    const unsigned within = rest % (subBuckets / 2);
+    const unsigned msb = octave + (subBucketBits - 1);
+    return (subBuckets / 2 + within) << (msb - (subBucketBits - 1));
 }
 
 std::uint64_t
 LogHistogram::bucketHigh(unsigned index) const
 {
-    if (index < subBuckets_)
+    if (index < subBuckets)
         return index;
-    const unsigned rest = index - static_cast<unsigned>(subBuckets_);
-    const unsigned octave = rest / (subBuckets_ / 2) + 1;
-    const unsigned within = rest % (subBuckets_ / 2);
-    const unsigned msb = octave + (subBucketBits_ - 1);
-    const std::uint64_t step = 1ULL << (msb - (subBucketBits_ - 1));
-    return ((subBuckets_ / 2 + within) << (msb - (subBucketBits_ - 1))) +
+    const unsigned rest = index - static_cast<unsigned>(subBuckets);
+    const unsigned octave = rest / (subBuckets / 2) + 1;
+    const unsigned within = rest % (subBuckets / 2);
+    const unsigned msb = octave + (subBucketBits - 1);
+    const std::uint64_t step = 1ULL << (msb - (subBucketBits - 1));
+    return ((subBuckets / 2 + within) << (msb - (subBucketBits - 1))) +
            step - 1;
 }
 
@@ -82,8 +84,6 @@ LogHistogram::record(std::uint64_t value, std::uint64_t count)
 void
 LogHistogram::merge(const LogHistogram &other)
 {
-    SMARTDS_CHECK(subBucketBits_ == other.subBucketBits_,
-                   "merging histograms with different geometry");
     for (std::size_t i = 0; i < counts_.size(); ++i)
         counts_[i] += other.counts_[i];
     total_ += other.total_;

@@ -19,15 +19,13 @@ namespace smartds {
 /**
  * Fixed-memory log-scale histogram of non-negative 64-bit values.
  *
- * Values are grouped into octaves; each octave is divided into a fixed
- * number of linear sub-buckets (default 32, i.e. ~3% worst-case relative
- * quantile error).
+ * Values are grouped into octaves; each octave is divided into 32 linear
+ * sub-buckets (~3% worst-case relative quantile error).
  */
 class LogHistogram
 {
   public:
-    /** @param sub_bucket_bits log2 of the sub-buckets per octave. */
-    explicit LogHistogram(unsigned sub_bucket_bits = 5);
+    LogHistogram();
 
     /** Record one value. */
     void record(std::uint64_t value);
@@ -35,7 +33,7 @@ class LogHistogram
     /** Record @p count occurrences of @p value. */
     void record(std::uint64_t value, std::uint64_t count);
 
-    /** Merge another histogram with identical geometry. */
+    /** Merge another histogram. */
     void merge(const LogHistogram &other);
 
     /** Remove all samples. */
@@ -69,8 +67,6 @@ class LogHistogram
     std::uint64_t bucketLow(unsigned index) const;
     std::uint64_t bucketHigh(unsigned index) const;
 
-    unsigned subBucketBits_;
-    std::uint64_t subBuckets_;
     std::vector<std::uint64_t> counts_;
     std::uint64_t total_ = 0;
     double sum_ = 0.0;
